@@ -18,9 +18,6 @@ from .errors import CorpusError, DegenerateInputError
 from .multiset import Element, Multiset
 from .ncd import NcdCalculator
 
-METHODS = ("delta-ncd1", "min-distance")
-
-
 @dataclass(frozen=True)
 class TestItem:
     element: Element
@@ -159,6 +156,18 @@ def min_distance_classify(
     return _argmin_label(mean_distance_scores(calc, x, classes))
 
 
+SCORERS = {"delta-ncd1": delta_scores, "min-distance": mean_distance_scores}
+METHODS = tuple(SCORERS)
+
+
+def classify_item(
+    calc: NcdCalculator, item: TestItem, classes: Mapping[str, Multiset], method: str
+) -> ItemResult:
+    """Score one item against every class with ``method`` and take the argmin."""
+    scores = SCORERS[method](calc, item.element, classes)
+    return ItemResult(item.element.id, item.label, _argmin_label(scores), scores)
+
+
 def loocv(
     calc: NcdCalculator,
     corpus: LabeledCorpus,
@@ -184,20 +193,14 @@ def loocv(
                 f"class {label!r} has {len(ms)} members; LOOCV needs >= 3 "
                 "so the depleted class keeps >= 2"
             )
-    score_fn = delta_scores if method == "delta-ncd1" else mean_distance_scores
     items: list[ItemResult] = []
-    correct = 0
     for label in sorted(classes):
         ms = classes[label]
         for idx in range(len(ms)):
-            held = ms[idx]
             fold_classes = dict(classes)
             fold_classes[label] = ms.remove_at(idx)
-            scores = score_fn(calc, held, fold_classes)
-            predicted = _argmin_label(scores)
-            if predicted == label:
-                correct += 1
-            items.append(ItemResult(held.id, label, predicted, scores))
+            items.append(classify_item(calc, TestItem(ms[idx], label), fold_classes, method))
+    correct = sum(item.predicted == item.true_label for item in items)
     n = len(items)
     accuracy = correct / n
     return ClassificationReport(

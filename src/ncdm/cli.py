@@ -4,6 +4,11 @@ Every subcommand prints one JSON report to stdout and a one-line human
 summary to stderr. Exit codes: 0 on success, 1 on degenerate-input errors,
 2 on usage errors. ``--jobs`` bounds the worker pool and can only change
 wall time, so it is not echoed into reports.
+
+A ``--cache`` snapshot starts with the line ``# ncdm-sizes v1 BACKEND``
+followed by one ``sha256-hex<TAB>size`` record per line. Sizes depend on the
+backend, so a snapshot written by another backend, or one that is missing
+the header or holds a line that does not parse, is a usage error (exit 2).
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .classify import LabeledCorpus, loocv, delta_scores, mean_distance_scores
-from .compressor import SizeCache, get_backend, normality_report
+from .classify import METHODS, TestItem, classify_item, loocv
+from .compressor import CompressorBackend, SizeCache, get_backend, normality_report
 from .datagen import CellModelParams, simulate_population, write_population
 from .errors import NcdmError
 from .ingest import (
@@ -30,7 +35,7 @@ from .ingest import (
     read_timeseries_csv,
 )
 from .multiset import Element, Multiset
-from .ncd import NcdCalculator
+from .ncd import DEFAULT_MAX_CARD, NcdCalculator
 from .parallel import default_jobs
 from .partition import PartitionConfig, min_class_distances, recursive_partition
 
@@ -72,7 +77,7 @@ def _gather_elements(inputs: list[str]) -> list[Element]:
     return [_read_element(_require_file(p)) for p in inputs]
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--backend",
         default=None,
@@ -85,6 +90,10 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default="text",
         help="element framing; use varint for binary inputs (default: text)",
     )
+
+
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    _add_backend(sub)
     sub.add_argument(
         "--jobs",
         type=int,
@@ -96,34 +105,40 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_calc(args: argparse.Namespace) -> tuple[NcdCalculator, SizeCache, str | None]:
+def _backend(args: argparse.Namespace) -> CompressorBackend:
     spec = args.backend or os.environ.get(BACKEND_ENV) or "bz2"
     try:
-        backend = get_backend(spec)
+        return get_backend(spec)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    cache = SizeCache()
-    cache_path = getattr(args, "cache", None)
-    if cache_path and Path(cache_path).is_file():
-        cache.load(cache_path)
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    calc = NcdCalculator(backend, mode=args.framing, cache=cache, jobs=jobs)
-    return calc, cache, cache_path
 
 
-def _config_echo(args: argparse.Namespace, calc: NcdCalculator, **extra) -> dict:
-    cfg = {"backend": calc.backend.name, "framing": calc.mode}
-    cfg.update(extra)
-    return cfg
+def _with_calc(handler):
+    """Run ``handler(args, calc)``; load the ``--cache`` snapshot before, save it after."""
+
+    def run(args: argparse.Namespace) -> tuple[dict, str]:
+        backend = _backend(args)
+        cache = SizeCache()
+        if args.cache and Path(args.cache).is_file():
+            try:
+                cache.load(args.cache, backend.name)
+            except ValueError as exc:
+                raise UsageError(str(exc)) from exc
+        jobs = args.jobs if args.jobs is not None else default_jobs()
+        result = handler(args, NcdCalculator(backend, mode=args.framing, cache=cache, jobs=jobs))
+        if args.cache:
+            cache.save(args.cache, backend.name)
+        return result
+
+    return run
+
+
+def _config_echo(calc: NcdCalculator, **extra) -> dict:
+    return {"backend": calc.backend.name, "framing": calc.mode, **extra}
 
 
 def _normalize_method(raw: str) -> str:
-    aliases = {
-        "delta": "delta-ncd1",
-        "delta-ncd1": "delta-ncd1",
-        "min": "min-distance",
-        "min-distance": "min-distance",
-    }
+    aliases = {"delta": "delta-ncd1", "min": "min-distance", **{m: m for m in METHODS}}
     if raw not in aliases:
         raise UsageError(f"unknown method {raw!r}")
     return aliases[raw]
@@ -138,32 +153,25 @@ def _parse_min_size(raw: str) -> int | float:
         return float(raw)
 
 
-def _load_classes(path: str) -> dict[str, Multiset]:
-    return load_corpus(_require_dir(path)).classes
-
-
 # -- subcommand handlers -----------------------------------------------
 
 
-def _cmd_pair(args) -> tuple[dict, str]:
-    calc, cache, cache_path = _make_calc(args)
+def _cmd_pair(args, calc: NcdCalculator) -> tuple[dict, str]:
     x = _read_element(_require_file(args.file1))
     y = _read_element(_require_file(args.file2))
     result = calc.ncd_pairwise(x, y)
     report = {
         "command": "pair",
-        "config": _config_echo(args, calc),
+        "config": _config_echo(calc),
         "formula": result.formula,
         "value": result.value,
         "elements": [x.id, y.id],
-        "compression_jobs": cache.job_count,
+        "compression_jobs": calc.cache.job_count,
     }
-    _maybe_save_cache(cache, cache_path)
     return report, f"pairwise distance {result.value:.6f}"
 
 
-def _cmd_multiset(args) -> tuple[dict, str]:
-    calc, cache, cache_path = _make_calc(args)
+def _cmd_multiset(args, calc: NcdCalculator) -> tuple[dict, str]:
     ms = Multiset(_gather_elements(args.inputs))
     if args.exact:
         result = calc.ncd_exact(ms, max_card=args.max_card)
@@ -184,92 +192,65 @@ def _cmd_multiset(args) -> tuple[dict, str]:
         summary = f"heuristic distance {heuristic.ncd.value:.6f} over {len(ms)} elements"
     report = {
         "command": "multiset",
-        "config": _config_echo(args, calc, elements=list(ms.ids())),
+        "config": _config_echo(calc, elements=list(ms.ids())),
         **payload,
-        "compression_jobs": cache.job_count,
+        "compression_jobs": calc.cache.job_count,
     }
-    _maybe_save_cache(cache, cache_path)
     return report, summary
 
 
-def _cmd_matrix(args) -> tuple[dict, str]:
-    calc, cache, cache_path = _make_calc(args)
-    elements = _gather_elements(args.inputs)
-    dm = calc.distance_matrix(elements)
-    csv_text = dm.to_csv()
+def _cmd_matrix(args, calc: NcdCalculator) -> tuple[dict, str]:
+    dm = calc.distance_matrix(_gather_elements(args.inputs))
     if args.csv:
-        Path(args.csv).write_text(csv_text)
+        Path(args.csv).write_text(dm.to_csv())
     report = {
         "command": "matrix",
-        "config": _config_echo(args, calc),
+        "config": _config_echo(calc),
         "labels": list(dm.labels),
         "values": [[float(v) for v in row] for row in dm.values],
         "csv": args.csv,
-        "compression_jobs": cache.job_count,
+        "compression_jobs": calc.cache.job_count,
     }
-    _maybe_save_cache(cache, cache_path)
     return report, f"{len(dm.labels)}x{len(dm.labels)} distance matrix"
 
 
-def _cmd_classify(args) -> tuple[dict, str]:
-    calc, cache, cache_path = _make_calc(args)
+def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, str]:
     method = _normalize_method(args.method)
     corpus = load_corpus(_require_dir(args.classes), args.test)
     items = list(corpus.test_items)
     for path in args.items:
-        items.append(_read_element(_require_file(path)))
+        items.append(TestItem(_read_element(_require_file(path))))
     if not items:
         raise UsageError("no items to classify; pass files or --test")
-    score_fn = delta_scores if method == "delta-ncd1" else mean_distance_scores
-    results = []
-    correct = 0
-    labeled = 0
-    for item in items:
-        element = item.element if hasattr(item, "element") else item
-        true_label = getattr(item, "label", None)
-        scores = score_fn(calc, element, corpus.classes)
-        predicted = min(sorted(scores), key=lambda lab: scores[lab])
-        if true_label is not None:
-            labeled += 1
-            correct += predicted == true_label
-        results.append(
-            {
-                "id": element.id,
-                "predicted": predicted,
-                "true_label": true_label,
-                "scores": scores,
-            }
-        )
+    results = [classify_item(calc, item, corpus.classes, method) for item in items]
     report = {
         "command": "classify",
-        "config": _config_echo(args, calc, method=method, classes=sorted(corpus.classes)),
-        "items": results,
-        "compression_jobs": cache.job_count,
+        "config": _config_echo(calc, method=method, classes=sorted(corpus.classes)),
+        "items": [result.to_dict() for result in results],
+        "compression_jobs": calc.cache.job_count,
     }
     summary = f"classified {len(results)} items with {method}"
+    labeled = [result for result in results if result.true_label is not None]
     if labeled:
-        summary += f"; {correct}/{labeled} labeled items correct"
-    _maybe_save_cache(cache, cache_path)
+        correct = sum(result.predicted == result.true_label for result in labeled)
+        summary += f"; {correct}/{len(labeled)} labeled items correct"
     return report, summary
 
 
-def _cmd_loocv(args) -> tuple[dict, str]:
-    calc, cache, cache_path = _make_calc(args)
+def _cmd_loocv(args, calc: NcdCalculator) -> tuple[dict, str]:
     method = _normalize_method(args.method)
     corpus = load_corpus(_require_dir(args.classes))
     result = loocv(calc, corpus, method=method, seed=args.seed)
     report = {
         "command": "loocv",
-        "config": _config_echo(args, calc, method=method, seed=args.seed),
+        "config": _config_echo(calc, method=method, seed=args.seed),
         **result.to_dict(),
     }
-    _maybe_save_cache(cache, cache_path)
     return report, result.summary()
 
 
-def _cmd_partition(args) -> tuple[dict, str]:
-    calc, cache, cache_path = _make_calc(args)
-    classes = _load_classes(args.classes)
+def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, str]:
+    classes = load_corpus(_require_dir(args.classes)).classes
     cfg = PartitionConfig(
         restarts=args.restarts,
         max_iters=args.max_iters,
@@ -287,8 +268,7 @@ def _cmd_partition(args) -> tuple[dict, str]:
             "distances": min_class_distances(calc, element, tree, k=args.k),
         }
     n_leaves = sum(len(tree.leaves(label)) for label in tree.roots)
-    report = {"command": "partition", "config": _config_echo(args, calc), **payload}
-    _maybe_save_cache(cache, cache_path)
+    report = {"command": "partition", "config": _config_echo(calc), **payload}
     return report, f"partitioned {len(classes)} classes into {n_leaves} leaves"
 
 
@@ -306,10 +286,10 @@ def _cmd_gen_synthetic(args) -> tuple[dict, str]:
 
 
 def _cmd_compressor_check(args) -> tuple[dict, str]:
-    calc, _cache, _path = _make_calc(args)
+    backend = _backend(args)
     corpus = _gather_elements([args.corpus])
     result = normality_report(
-        calc.backend,
+        backend,
         corpus,
         tolerance=args.tolerance,
         max_pairs=args.max_pairs,
@@ -318,11 +298,11 @@ def _cmd_compressor_check(args) -> tuple[dict, str]:
     )
     report = {
         "command": "compressor-check",
-        "config": _config_echo(args, calc, seed=args.seed),
+        "config": {"backend": backend.name, "framing": args.framing, "seed": args.seed},
         **result.to_dict(),
     }
     verdict = "normal within tolerance" if result.ok else "violations recorded"
-    return report, f"{calc.backend.name}: {verdict}"
+    return report, f"{backend.name}: {verdict}"
 
 
 def _cmd_quantize(args) -> tuple[dict, str]:
@@ -381,11 +361,6 @@ def _cmd_image2bits(args) -> tuple[dict, str]:
     return report, f"binarized {len(written)} images at scale {args.scale}"
 
 
-def _maybe_save_cache(cache: SizeCache, path: str | None) -> None:
-    if path:
-        cache.save(path)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ncdm",
@@ -398,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file1")
     p.add_argument("file2")
     _add_common(p)
-    p.set_defaults(handler=_cmd_pair)
+    p.set_defaults(handler=_with_calc(_cmd_pair))
 
     p = subs.add_parser("multiset", help="multiset distance of a directory or files")
     p.add_argument("inputs", nargs="+")
@@ -406,15 +381,15 @@ def build_parser() -> argparse.ArgumentParser:
     style.add_argument("--heuristic", action="store_true", help="greedy chain (default)")
     style.add_argument("--exact", action="store_true", help="full subset enumeration")
     style.add_argument("--ncd1", action="store_true", help="un-maximized ratio only")
-    p.add_argument("--max-card", type=int, default=12, help="cap for --exact")
+    p.add_argument("--max-card", type=int, default=DEFAULT_MAX_CARD, help="cap for --exact")
     _add_common(p)
-    p.set_defaults(handler=_cmd_multiset)
+    p.set_defaults(handler=_with_calc(_cmd_multiset))
 
     p = subs.add_parser("matrix", help="pairwise distance matrix")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--csv", default=None, help="also write the matrix as CSV")
     _add_common(p)
-    p.set_defaults(handler=_cmd_matrix)
+    p.set_defaults(handler=_with_calc(_cmd_matrix))
 
     p = subs.add_parser("classify", help="assign items to the closest class")
     p.add_argument("items", nargs="*", help="files to classify")
@@ -422,14 +397,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", default=None, help="directory of loose items or JSON manifest")
     p.add_argument("--method", default="delta", help="delta (default) or min-distance")
     _add_common(p)
-    p.set_defaults(handler=_cmd_classify)
+    p.set_defaults(handler=_with_calc(_cmd_classify))
 
     p = subs.add_parser("loocv", help="leave-one-out cross-validation")
     p.add_argument("--classes", required=True)
     p.add_argument("--method", default="delta")
     p.add_argument("--seed", type=int, default=None, help="echoed into the report")
     _add_common(p)
-    p.set_defaults(handler=_cmd_loocv)
+    p.set_defaults(handler=_with_calc(_cmd_loocv))
 
     p = subs.add_parser("partition", help="margin-guided recursive bipartitioning")
     p.add_argument("--classes", required=True)
@@ -441,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--item", default=None, help="also score this file against the leaves")
     p.add_argument("-k", type=int, default=2, help="distances kept per class for --item")
     _add_common(p)
-    p.set_defaults(handler=_cmd_partition)
+    p.set_defaults(handler=_with_calc(_cmd_partition))
 
     p = subs.add_parser("gen-synthetic", help="simulate a proliferating cell population")
     p.add_argument("--upsilon", type=float, required=True, help="growth exponent")
@@ -457,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=int, default=None, help="fixed byte slack (default: adaptive)")
     p.add_argument("--max-pairs", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
+    _add_backend(p)
     p.set_defaults(handler=_cmd_compressor_check)
 
     p = subs.add_parser("quantize", help="CSV time series to symbol streams")

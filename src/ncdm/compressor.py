@@ -10,20 +10,25 @@ from __future__ import annotations
 import bz2
 import hashlib
 import math
+import os
 import random
+import re
 import shlex
 import subprocess
 import threading
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import BackendUnavailableError, SeparatorCollisionError
-from .multiset import Element, Multiset
+from .multiset import Element
 
 SEPARATOR = b"\n"
 FRAMING_MODES = ("text", "varint")
+# First line of a size snapshot, followed by the name of the backend that wrote it.
+SNAPSHOT_HEADER = "# ncdm-sizes v1"
+_SNAPSHOT_RECORD = re.compile(r"[0-9a-f]{64}\t[1-9][0-9]*")
 
 
 class CompressorBackend:
@@ -160,14 +165,16 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
         shift += 7
 
 
-def serialize_multiset(ms: Multiset, mode: str = "text", separator: bytes = SEPARATOR) -> bytes:
+def serialize_multiset(
+    ms: Iterable[Element], mode: str = "text", separator: bytes = SEPARATOR
+) -> bytes:
     """Serialize a multiset to the byte string handed to the compressor.
 
-    Elements appear in the multiset's canonical order, so any permutation of
-    the same bag yields identical bytes. ``text`` mode joins elements with a
-    separator byte and requires that no element contain it; ``varint`` mode
-    prefixes each element with its LEB128-encoded length and is safe for
-    arbitrary binary content.
+    Elements appear in iteration order, which for a ``Multiset`` is the
+    canonical order, so any permutation of the same bag yields identical
+    bytes. ``text`` mode joins elements with a separator byte and requires
+    that no element contain it; ``varint`` mode prefixes each element with
+    its LEB128-encoded length and is safe for arbitrary binary content.
     """
     if mode == "text":
         parts = []
@@ -238,26 +245,44 @@ class SizeCache:
                 self.job_count += 1
             self._entries[digest] = size
 
-    def preload(self, digest: str, size: int) -> None:
-        """Insert without counting a compression job (disk snapshots)."""
-        with self._lock:
-            self._entries[digest] = size
+    def save(self, path: str | Path, backend: str) -> None:
+        """Snapshot as a ``SNAPSHOT_HEADER BACKEND`` line, then
+        ``hex-digest<TAB>size`` lines sorted by digest.
 
-    def save(self, path: str | Path) -> None:
-        """Snapshot as ``hex-digest<TAB>size`` lines sorted by digest."""
-        lines = [f"{d}\t{s}\n" for d, s in sorted(self._entries.items())]
-        Path(path).write_text("".join(lines))
+        The snapshot is written to a temporary file in the same directory and
+        renamed over ``path``, so no reader ever sees a torn snapshot.
+        """
+        path = Path(path)
+        lines = [f"{SNAPSHOT_HEADER} {backend}\n"]
+        lines += [f"{d}\t{s}\n" for d, s in sorted(self._entries.items())]
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text("".join(lines))
+            os.replace(tmp, path)
+        finally:
+            tmp.unlink(missing_ok=True)
 
-    def load(self, path: str | Path) -> int:
-        """Merge a snapshot file; returns the number of records read."""
-        count = 0
-        for line in Path(path).read_text().splitlines():
-            if not line.strip():
-                continue
+    def load(self, path: str | Path, backend: str) -> int:
+        """Merge a snapshot that ``backend`` wrote; returns the number of records read.
+
+        Loaded sizes are not compression jobs. Raises ``ValueError``, naming
+        the file and the line, when the header is missing or names another
+        backend, or when a record does not parse; nothing is merged then.
+        """
+        lines = Path(path).read_text(errors="replace").splitlines()
+        expected = f"{SNAPSHOT_HEADER} {backend}"
+        header = lines[0] if lines else ""
+        if header != expected:
+            raise ValueError(f"{path}:1: expected header {expected!r}, found {header[:80]!r}")
+        records = {}
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not _SNAPSHOT_RECORD.fullmatch(line):
+                raise ValueError(f"{path}:{lineno}: not a digest<TAB>size record: {line[:80]!r}")
             digest, _, size = line.partition("\t")
-            self.preload(digest.strip(), int(size))
-            count += 1
-        return count
+            records[digest] = int(size)
+        with self._lock:
+            self._entries.update(records)
+        return len(lines) - 1
 
 
 def cached_compress_len(backend: CompressorBackend, cache: SizeCache, data: bytes) -> int:
@@ -290,19 +315,15 @@ class NormalityReport:
 
     backend: str
     checks: dict[str, int] = field(default_factory=dict)
-    idempotency_violations: list[NormalityViolation] = field(default_factory=list)
-    monotonicity_violations: list[NormalityViolation] = field(default_factory=list)
-    symmetry_violations: list[NormalityViolation] = field(default_factory=list)
-    distributivity_violations: list[NormalityViolation] = field(default_factory=list)
+    violations: dict[str, list[NormalityViolation]] = field(
+        default_factory=lambda: {p: [] for p in NormalityReport.PROPERTIES}
+    )
 
     PROPERTIES = ("idempotency", "monotonicity", "symmetry", "distributivity")
 
-    def violations(self, prop: str) -> list[NormalityViolation]:
-        return getattr(self, f"{prop}_violations")
-
     @property
     def ok(self) -> bool:
-        return not any(self.violations(p) for p in self.PROPERTIES)
+        return not any(self.violations.values())
 
     def to_dict(self) -> dict:
         return {
@@ -310,23 +331,9 @@ class NormalityReport:
             "ok": self.ok,
             "checks": dict(self.checks),
             "violations": {
-                p: [v.to_dict() for v in self.violations(p)] for p in self.PROPERTIES
+                p: [v.to_dict() for v in self.violations[p]] for p in self.PROPERTIES
             },
         }
-
-
-def _frame_pair(x: Element, y: Element, mode: str) -> bytes:
-    # Deliberately order-preserving: symmetry is a property of the backend,
-    # and canonical multiset ordering would mask it.
-    if mode == "text":
-        for e in (x, y):
-            if SEPARATOR in e.data:
-                raise SeparatorCollisionError(
-                    f"element {e.id!r} contains the separator byte; "
-                    "use varint framing"
-                )
-        return x.data + SEPARATOR + y.data
-    return encode_uvarint(len(x.data)) + x.data + encode_uvarint(len(y.data)) + y.data
 
 
 def normality_report(
@@ -367,7 +374,9 @@ def normality_report(
         return sizes[e.id]
 
     def g_pair(x: Element, y: Element) -> int:
-        return compress_len(backend, _frame_pair(x, y, mode))
+        # Framed in the given order, not the canonical one: symmetry is a
+        # property of the backend, and canonical ordering would mask it.
+        return compress_len(backend, serialize_multiset((x, y), mode))
 
     singles = list(corpus)
     if len(singles) > max_singletons:
@@ -378,7 +387,7 @@ def normality_report(
         tol = tol_fn(2 * len(x.data) + 1)
         slack = abs(gxx - gx)
         if slack > tol:
-            report.idempotency_violations.append(NormalityViolation((x.id, x.id), slack, tol))
+            report.violations["idempotency"].append(NormalityViolation((x.id, x.id), slack, tol))
     report.checks["idempotency"] = len(singles)
 
     all_pairs = [
@@ -393,11 +402,11 @@ def normality_report(
         tol = tol_fn(len(x.data) + len(y.data) + 1)
         slack = abs(gxy - gyx)
         if slack > tol:
-            report.symmetry_violations.append(NormalityViolation((x.id, y.id), slack, tol))
+            report.violations["symmetry"].append(NormalityViolation((x.id, y.id), slack, tol))
         for first, combined in ((x, gxy), (y, gyx)):
             mono_slack = g_single(first) - combined
             if mono_slack > tol:
-                report.monotonicity_violations.append(
+                report.violations["monotonicity"].append(
                     NormalityViolation((first.id, y.id if first is x else x.id), mono_slack, tol)
                 )
     report.checks["symmetry"] = len(pairs)
@@ -413,7 +422,7 @@ def normality_report(
         tol = tol_fn(len(x.data) + len(y.data) + len(z.data) + 2)
         slack = (g_pair(x, y) + g_single(z)) - (g_pair(x, z) + g_pair(y, z))
         if slack > tol:
-            report.distributivity_violations.append(
+            report.violations["distributivity"].append(
                 NormalityViolation((x.id, y.id, z.id), slack, tol)
             )
     report.checks["distributivity"] = len(triples)

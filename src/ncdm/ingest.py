@@ -292,9 +292,16 @@ def load_corpus(classes_dir: str | Path, test_path: str | Path | None = None) ->
             for p in sorted(f for f in test_path.iterdir() if f.is_file()):
                 test_items.append(TestItem(Element(p.read_bytes(), id=p.name)))
         elif test_path.is_file():
-            entries = json.loads(test_path.read_text())
+            try:
+                entries = json.loads(test_path.read_text())
+            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+                raise CorpusError(f"test manifest {test_path} is not JSON: {exc}") from exc
+            if not isinstance(entries, list):
+                raise CorpusError(f"test manifest {test_path} must hold a list of entries")
             base = test_path.parent
             for entry in entries:
+                if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+                    raise CorpusError(f"test manifest {test_path}: entry {entry!r} has no path")
                 p = base / entry["path"]
                 if not p.is_file():
                     raise CorpusError(f"manifest entry not found: {p}")

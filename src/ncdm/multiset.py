@@ -78,13 +78,6 @@ class Multiset:
             raise IndexError(index)
         return Multiset(els[:index] + els[index + 1 :])
 
-    def without_id(self, element_id: str) -> "Multiset":
-        """Return a new multiset with the occurrence carrying ``element_id`` removed."""
-        for i, e in enumerate(self._elements):
-            if e.id == element_id:
-                return self.remove_at(i)
-        raise KeyError(element_id)
-
     def union(self, other: "Multiset") -> "Multiset":
         """Bag union: multiplicities add."""
         return Multiset(self._elements + other._elements)

@@ -28,7 +28,6 @@ from .errors import CardinalityLimitError, DegenerateInputError
 from .multiset import Element, Multiset
 from .parallel import parallel_map
 
-FORMULAS = ("pairwise", "ncd1", "exact", "heuristic")
 DEFAULT_EPSILON = 0.1
 DEFAULT_MAX_CARD = 12
 
@@ -125,13 +124,11 @@ class NcdCalculator:
         mode: str = "text",
         cache: SizeCache | None = None,
         jobs: int = 1,
-        epsilon: float = DEFAULT_EPSILON,
     ) -> None:
         self.backend = backend if backend is not None else Bz2Backend()
         self.mode = mode
         self.cache = cache if cache is not None else SizeCache()
         self.jobs = jobs
-        self.epsilon = epsilon
 
     # -- sizes ---------------------------------------------------------
 
@@ -213,14 +210,11 @@ class NcdCalculator:
         best_witness: Multiset | None = None
         current = ms
         g_current = self.g(current)
+        singles = parallel_map(self.g_element, current.elements, self.jobs)
         while True:
             k = len(current)
             loo = parallel_map(lambda i: self.g(current.remove_at(i)), range(k), self.jobs)
-            denom = max(loo)
-            if denom <= 0:
-                raise DegenerateInputError("max leave-one-out size is 0")
-            g_min = min(parallel_map(self.g_element, current.elements, self.jobs))
-            value = (g_current - g_min) / denom
+            value = GProfile(g_current, tuple(singles), tuple(loo)).ncd1()
             if best_value is None or value > best_value:
                 best_value, best_witness = value, current
             if k == 2:
@@ -229,6 +223,7 @@ class NcdCalculator:
             removed = max(range(k), key=lambda i: (loo[i], -i))
             chain.append(ChainStep(k, value, current[removed].id))
             g_current = loo[removed]
+            del singles[removed]
             current = current.remove_at(removed)
         assert best_value is not None
         return HeuristicResult(NcdValue(best_value, "heuristic", best_witness), tuple(chain))

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -139,6 +140,24 @@ def test_classify_items(tmp_path, capsys):
     assert code == 0
     assert report["items"][0]["predicted"] == "alpha"
     assert set(report["items"][0]["scores"]) == {"alpha", "beta"}
+
+
+@pytest.mark.parametrize("method", ["delta", "min-distance"])
+def test_classify_scores_like_a_loocv_fold(tmp_path, capsys, method):
+    root = write_class_dirs(tmp_path)
+    common = ("--method", method, "--backend", "zlib")
+    code, report, _ = run(capsys, "loocv", "--classes", str(root), *common)
+    assert code == 0
+    (fold,) = [item for item in report["items"] if item["id"] == "alpha/alpha1.txt"]
+    depleted = tmp_path / "depleted"
+    shutil.copytree(root, depleted)
+    held = tmp_path / "alpha1.txt"
+    (depleted / "alpha" / "alpha1.txt").rename(held)
+    code, report, _ = run(capsys, "classify", str(held), "--classes", str(depleted), *common)
+    assert code == 0
+    (item,) = report["items"]
+    assert item["scores"] == fold["scores"]
+    assert item["predicted"] == fold["predicted"]
 
 
 def test_loocv_reproducible_bytes(tmp_path, capsys):
@@ -316,3 +335,31 @@ def test_backend_env_variable(tmp_path, capsys, monkeypatch):
     code, report, _ = run(capsys, "pair", str(f), str(f))
     assert code == 0
     assert report["config"]["backend"] == "zlib-9"
+
+
+def test_cache_from_another_backend_is_refused(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_bytes(b"some shared words here " * 30)
+    b.write_bytes(b"other words, not shared " * 30)
+    cache = tmp_path / "sizes.tsv"
+    code, _, _ = run(capsys, "pair", str(a), str(b), "--backend", "bz2", "--cache", str(cache))
+    assert code == 0
+    code, report, err = run(capsys, "pair", str(a), str(b), "--backend", "zlib", "--cache", str(cache))
+    assert code == 2 and report is None
+    assert "bz2-9" in err and "zlib-6" in err
+
+
+@pytest.mark.parametrize(
+    "snapshot",
+    ["abc\tnotanumber\n", "# ncdm-sizes v1 zlib-6\nabc\tnotanumber\n"],
+    ids=["no-header", "bad-record"],
+)
+def test_malformed_cache_is_a_usage_error(tmp_path, capsys, snapshot):
+    a = tmp_path / "a.txt"
+    a.write_bytes(b"payload " * 50)
+    cache = tmp_path / "sizes.tsv"
+    cache.write_text(snapshot)
+    code, report, err = run(capsys, "pair", str(a), str(a), "--backend", "zlib", "--cache", str(cache))
+    assert code == 2 and report is None
+    assert str(cache) in err and "Traceback" not in err

@@ -178,15 +178,16 @@ def test_cache_snapshot_round_trip(tmp_path):
     cache.put(content_digest(b"abc"), 11)
     cache.put(content_digest(b"def"), 22)
     path = tmp_path / "sizes.tsv"
-    cache.save(path)
-    lines = path.read_text().splitlines()
+    cache.save(path, "bz2-9")
+    header, *lines = path.read_text().splitlines()
+    assert header == "# ncdm-sizes v1 bz2-9"
     assert len(lines) == 2
     assert lines == sorted(lines)  # sorted by digest
     digest, size = lines[0].split("\t")
     assert len(digest) == 64 and size.isdigit()
 
     fresh = SizeCache()
-    assert fresh.load(path) == 2
+    assert fresh.load(path, "bz2-9") == 2
     assert fresh.get(content_digest(b"abc")) == 11
     assert fresh.job_count == 0  # preloads are not compression jobs
 
@@ -215,7 +216,7 @@ def test_default_tolerance_grows_logarithmically():
 def test_normality_identical_elements_no_monotonicity_violations():
     corpus = [random_text_element(4, 2048, f"x{i}") for i in range(1)] * 4
     report = normality_report(Bz2Backend(), corpus, seed=0)
-    assert report.monotonicity_violations == []
+    assert report.violations["monotonicity"] == []
 
 
 def test_normality_random_corpus_records_counts(zlib_calc):
@@ -231,8 +232,8 @@ def test_normality_zero_tolerance_shows_asymmetry():
     # stream/block compressors are not byte-exactly symmetric
     corpus = [random_text_element(20 + i, 4096, f"s{i}") for i in range(8)]
     report = normality_report(Bz2Backend(), corpus, tolerance=0, seed=2)
-    assert len(report.symmetry_violations) > 0
-    for violation in report.symmetry_violations:
+    assert len(report.violations["symmetry"]) > 0
+    for violation in report.violations["symmetry"]:
         assert violation.slack > violation.tolerance == 0
 
 

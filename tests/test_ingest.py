@@ -285,3 +285,16 @@ def test_load_corpus_test_dir_and_manifest(tmp_path):
     corpus2 = load_corpus(root, manifest)
     assert corpus2.test_items[0].label == "a"
     assert corpus2.test_items[0].element.data == b"labeled query"
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["not json {", json.dumps({"path": "item.bin"}), json.dumps([{"label": "a"}])],
+    ids=["not-json", "not-a-list", "entry-without-path"],
+)
+def test_load_corpus_malformed_manifest(tmp_path, text):
+    root = make_corpus_dir(tmp_path, {"a": {"1": b"x"}, "b": {"2": b"y"}})
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(text)
+    with pytest.raises(CorpusError, match="manifest"):
+        load_corpus(root, manifest)

@@ -56,13 +56,6 @@ def test_remove_at_drops_one_occurrence():
     assert sum(1 for e in smaller if e.data == b"a") == 1
 
 
-def test_without_id():
-    ms = Multiset([E(b"a", "a1"), E(b"a", "a2")])
-    assert ms.without_id("a2").ids() == ("a1",)
-    with pytest.raises(KeyError):
-        ms.without_id("missing")
-
-
 def test_union_adds_multiplicities():
     a = Multiset([E(b"x", "x1")])
     b = Multiset([E(b"x", "x2"), E(b"y", "y1")])

@@ -15,6 +15,7 @@ from ncdm import (
     SizeCache,
     ZlibBackend,
 )
+from ncdm.ncd import DEFAULT_EPSILON
 
 from .conftest import (
     ALPHABET_A,
@@ -157,7 +158,7 @@ def test_ncd1_identical_elements_small():
     calc = NcdCalculator(ZlibBackend(), mode="varint", jobs=1)
     e = random_element(10, 4096, "x")
     copies = Multiset([Element(e.data, f"c{i}") for i in range(4)])
-    assert calc.ncd1(copies).value <= calc.epsilon
+    assert calc.ncd1(copies).value <= DEFAULT_EPSILON
 
 
 def test_ncd1_formula_tag(bz2_calc):
@@ -259,7 +260,7 @@ def test_heuristic_report_dict(bz2_calc):
 def test_pairwise_identity_small():
     calc = NcdCalculator(ZlibBackend(), mode="varint", jobs=1)
     x = random_element(20, 4096, "x")
-    assert calc.ncd_pairwise(x, Element(x.data, "x2")).value <= calc.epsilon
+    assert calc.ncd_pairwise(x, Element(x.data, "x2")).value <= DEFAULT_EPSILON
 
 
 def test_pairwise_symmetric(bz2_calc):
@@ -273,7 +274,7 @@ def test_pairwise_unrelated_near_one():
     x = random_element(23, 4096, "x")
     y = random_element(24, 4096, "y")
     value = calc.ncd_pairwise(x, y).value
-    assert 0.9 <= value <= 1.0 + calc.epsilon
+    assert 0.9 <= value <= 1.0 + DEFAULT_EPSILON
 
 
 def test_pairwise_range_mixed_corpus(bz2_calc):
@@ -283,7 +284,7 @@ def test_pairwise_range_mixed_corpus(bz2_calc):
         x = Element(" ".join(rng.choice(vocab) for _ in range(80)).encode(), "x")
         y = Element(" ".join(rng.choice(vocab) for _ in range(80)).encode(), "y")
         value = bz2_calc.ncd_pairwise(x, y).value
-        assert 0.0 <= value <= 1.0 + bz2_calc.epsilon
+        assert 0.0 <= value <= 1.0 + DEFAULT_EPSILON
 
 
 # -- distance matrix ----------------------------------------------------
@@ -296,7 +297,7 @@ def test_matrix_identical_pair():
     assert dm.labels == ("a", "b")
     for row in dm.values:
         for v in row:
-            assert v <= calc.epsilon
+            assert v <= DEFAULT_EPSILON
 
 
 def test_matrix_symmetric_zero_diagonal(bz2_calc):
