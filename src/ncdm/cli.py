@@ -9,6 +9,9 @@ A ``--cache`` snapshot starts with the line ``# ncdm-sizes v1 BACKEND``
 followed by one ``sha256-hex<TAB>size`` record per line. Sizes depend on the
 backend, so a snapshot written by another backend, or one that is missing
 the header or holds a line that does not parse, is a usage error (exit 2).
+So is a ``--cache`` path that names a directory or lies in a missing
+directory (refused before any work is done), and one that cannot be read or
+written.
 """
 
 from __future__ import annotations
@@ -97,7 +100,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--jobs",
         type=int,
-        default=None,
+        default=default_jobs(),
         help="worker pool size (default: hardware parallelism); affects wall time only",
     )
     sub.add_argument(
@@ -119,15 +122,20 @@ def _with_calc(handler):
     def run(args: argparse.Namespace) -> tuple[dict, str]:
         backend = _backend(args)
         cache = SizeCache()
-        if args.cache and Path(args.cache).is_file():
+        snapshot = Path(args.cache) if args.cache else None
+        if snapshot is not None and (snapshot.is_dir() or not snapshot.parent.is_dir()):
+            raise UsageError(f"--cache {snapshot} is a directory or lies in a missing one")
+        if snapshot is not None and snapshot.is_file():
             try:
-                cache.load(args.cache, backend.name)
-            except ValueError as exc:
+                cache.load(snapshot, backend.name)
+            except (OSError, ValueError) as exc:
                 raise UsageError(str(exc)) from exc
-        jobs = args.jobs if args.jobs is not None else default_jobs()
-        result = handler(args, NcdCalculator(backend, mode=args.framing, cache=cache, jobs=jobs))
-        if args.cache:
-            cache.save(args.cache, backend.name)
+        result = handler(args, NcdCalculator(backend, mode=args.framing, cache=cache, jobs=args.jobs))
+        if snapshot is not None:
+            try:
+                cache.save(snapshot, backend.name)
+            except OSError as exc:
+                raise UsageError(f"cannot write --cache {snapshot}: {exc}") from exc
         return result
 
     return run

@@ -26,7 +26,7 @@ from .compressor import (
 )
 from .errors import CardinalityLimitError, DegenerateInputError
 from .multiset import Element, Multiset
-from .parallel import parallel_map
+from .parallel import parallel_map, worker_pool
 
 DEFAULT_EPSILON = 0.1
 DEFAULT_MAX_CARD = 12
@@ -53,13 +53,18 @@ class GProfile:
     g_singletons: tuple[int, ...]
     g_leave_one_out: tuple[int, ...]
 
+    @property
+    def e_g_max(self) -> int:
+        """Information-distance approximation: G(X) minus the smallest member size."""
+        return self.g_whole - min(self.g_singletons)
+
     def ncd1(self) -> float:
         denom = max(self.g_leave_one_out)
         if denom <= 0:
             raise DegenerateInputError(
                 "max leave-one-out size is 0; inputs look corrupt"
             )
-        return (self.g_whole - min(self.g_singletons)) / denom
+        return self.e_g_max / denom
 
 
 @dataclass(frozen=True)
@@ -113,8 +118,8 @@ class NcdCalculator:
 
     Every size flows through a shared, thread-safe cache keyed by the digest
     of the serialized bytes, so repeated sub-multisets are compressed exactly
-    once. ``jobs`` bounds the worker pool for the leave-one-out and pairwise
-    maps; it changes wall time only, never results.
+    once. It holds one pool of ``jobs`` workers for its lifetime (none when
+    ``jobs <= 1``); ``jobs`` changes wall time only, never results.
     """
 
     def __init__(
@@ -128,7 +133,7 @@ class NcdCalculator:
         self.backend = backend if backend is not None else Bz2Backend()
         self.mode = mode
         self.cache = cache if cache is not None else SizeCache()
-        self.jobs = jobs
+        self._pool = worker_pool(jobs)
 
     # -- sizes ---------------------------------------------------------
 
@@ -142,19 +147,14 @@ class NcdCalculator:
         return self.g(Multiset([element]))
 
     def g_profile(self, ms: Multiset) -> GProfile:
+        """G(X), G(X minus each occurrence) and G(x) for each x, in one map, largest first."""
         if len(ms) < 2:
             raise DegenerateInputError(f"need >= 2 elements, got {len(ms)}")
-        whole = self.g(ms)
-        singletons = parallel_map(self.g_element, ms.elements, self.jobs)
-        loo = parallel_map(lambda i: self.g(ms.remove_at(i)), range(len(ms)), self.jobs)
-        return GProfile(whole, tuple(singletons), tuple(loo))
-
-    def e_g_max(self, ms: Multiset) -> int:
-        """Information-distance approximation: G(X) minus the smallest member size."""
-        if len(ms) < 2:
-            raise DegenerateInputError(f"need >= 2 elements, got {len(ms)}")
-        singletons = parallel_map(self.g_element, ms.elements, self.jobs)
-        return self.g(ms) - min(singletons)
+        loo = [ms.remove_at(i) for i in range(len(ms))]
+        singles = [Multiset([e]) for e in ms]
+        unique = list(dict.fromkeys([ms, *loo, *singles]))  # a pair's loo sets are its singles
+        size = dict(zip(unique, parallel_map(self.g, unique, self._pool)))
+        return GProfile(size[ms], tuple(map(size.get, singles)), tuple(map(size.get, loo)))
 
     # -- distances -----------------------------------------------------
 
@@ -202,29 +202,24 @@ class NcdCalculator:
         sizes double as the next round's whole-set size, so a fresh cache
         sees at most n(n+1)/2 + 2n distinct compressions.
         """
-        n = len(ms)
-        if n < 2:
-            raise DegenerateInputError(f"need >= 2 elements, got {n}")
         chain: list[ChainStep] = []
         best_value: float | None = None
         best_witness: Multiset | None = None
-        current = ms
-        g_current = self.g(current)
-        singles = parallel_map(self.g_element, current.elements, self.jobs)
+        current, profile = ms, self.g_profile(ms)
         while True:
             k = len(current)
-            loo = parallel_map(lambda i: self.g(current.remove_at(i)), range(k), self.jobs)
-            value = GProfile(g_current, tuple(singles), tuple(loo)).ncd1()
+            value = profile.ncd1()
             if best_value is None or value > best_value:
                 best_value, best_witness = value, current
             if k == 2:
                 chain.append(ChainStep(k, value, None))
                 break
+            loo, singles = profile.g_leave_one_out, profile.g_singletons
             removed = max(range(k), key=lambda i: (loo[i], -i))
             chain.append(ChainStep(k, value, current[removed].id))
-            g_current = loo[removed]
-            del singles[removed]
             current = current.remove_at(removed)
+            next_loo = tuple(parallel_map(self.g, map(current.remove_at, range(k - 1)), self._pool))
+            profile = GProfile(loo[removed], singles[:removed] + singles[removed + 1 :], next_loo)
         assert best_value is not None
         return HeuristicResult(NcdValue(best_value, "heuristic", best_witness), tuple(chain))
 
@@ -238,12 +233,12 @@ class NcdCalculator:
         if len(els) < 2:
             raise DegenerateInputError("a distance matrix needs >= 2 elements")
         n = len(els)
-        parallel_map(self.g_element, els, self.jobs)  # warm singletons once
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        values = parallel_map(
-            lambda ij: self.ncd_pairwise(els[ij[0]], els[ij[1]]).value, pairs, self.jobs
-        )
+        parallel_map(self.g_element, els, self._pool)  # warm singletons once
+
+        def row(i: int) -> list[float]:
+            return [self.ncd_pairwise(els[i], y).value for y in els[i + 1 :]]
+
         matrix = np.zeros((n, n))
-        for (i, j), v in zip(pairs, values):
-            matrix[i, j] = matrix[j, i] = v
+        for i, values in enumerate(parallel_map(row, range(n), self._pool)):
+            matrix[i, i + 1 :] = matrix[i + 1 :, i] = values
         return DistanceMatrix(tuple(e.id for e in els), matrix)

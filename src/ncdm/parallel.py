@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from concurrent.futures import Executor, ThreadPoolExecutor
+from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -14,17 +14,20 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], jobs: int | None = 1) -> list[R]:
-    """Map ``fn`` over ``items`` with results in input order.
+def worker_pool(jobs: int) -> Executor | None:
+    """The only place a pool is built: ``jobs`` threads, or None to run inline."""
+    return ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
 
-    Threads work here because the compression backends release the GIL (or
-    block on subprocesses). Aggregation is by index, never arrival order, so
-    the result is identical for any worker count.
+
+def parallel_map(fn: Callable[[T], R], items: Iterable[T], pool: Executor | None) -> list[R]:
+    """Map ``fn`` over ``items`` on ``pool``; inline when ``pool`` is None or for one item.
+
+    Threads suffice because the backends release the GIL or block on
+    subprocesses; results keep input order, so they are identical for any
+    worker count. ``fn`` must never call ``parallel_map`` on the same pool:
+    the pool deadlocks once every worker waits on a task queued behind it.
     """
-    seq: Sequence[T] = list(items)
-    if jobs is None:
-        jobs = default_jobs()
-    if jobs <= 1 or len(seq) < 2:
+    seq = list(items)
+    if pool is None or len(seq) < 2:
         return [fn(item) for item in seq]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, seq))
+    return list(pool.map(fn, seq))

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from ncdm import NcdCalculator
 from ncdm.cli import main
 
 from .conftest import ALPHABET_A, ALPHABET_B, make_vocab, fragment_elements
@@ -363,3 +364,23 @@ def test_malformed_cache_is_a_usage_error(tmp_path, capsys, snapshot):
     code, report, err = run(capsys, "pair", str(a), str(a), "--backend", "zlib", "--cache", str(cache))
     assert code == 2 and report is None
     assert str(cache) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+def test_bad_cache_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, where):
+    a = tmp_path / "a.txt"
+    a.write_bytes(b"payload " * 50)
+    cache = tmp_path if where == "directory" else tmp_path / "missing" / "dir" / "s.tsv"
+    built = []
+
+    class RecordingCalculator(NcdCalculator):
+        def __init__(self, *args, **kwargs):
+            built.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("ncdm.cli.NcdCalculator", RecordingCalculator)
+    code, report, err = run(capsys, "pair", str(a), str(a), "--backend", "zlib", "--cache", str(cache))
+    assert code == 2 and report is None
+    assert "usage error" in err and str(cache) in err
+    assert built == []  # refused before any work
+    assert not (tmp_path / "missing").exists()
