@@ -5,10 +5,13 @@ summary to stderr. Exit codes: 0 on success, 1 on degenerate-input errors,
 2 on usage errors. ``--jobs`` bounds the worker pool and can only change
 wall time, so it is not echoed into reports.
 
-A ``--cache`` snapshot starts with the line ``# ncdm-sizes v1 BACKEND``
-followed by one ``sha256-hex<TAB>size`` record per line. Sizes depend on the
-backend, so a snapshot written by another backend, or one that is missing
-the header or holds a line that does not parse, is a usage error (exit 2).
+A ``--cache`` snapshot starts with the line ``# ncdm-sizes v2 BACKEND``
+followed by one ``sha256-hex<TAB>size`` record per line. A record's digest is
+the SHA-256 of its size request: the framing mode, then the SHA-256 of each
+element in canonical order, so a snapshot written under one ``--framing``
+answers nothing under the other. Sizes depend on the backend, so a snapshot
+written by another backend or an earlier version, or one that is missing the
+header or holds a line that does not parse, is a usage error (exit 2).
 So is a ``--cache`` path that names a directory or lies in a missing
 directory (refused before any work is done), and one that cannot be read or
 written.

@@ -3,6 +3,10 @@
 A backend only ever reports the length of its compressed output; decompression
 is never needed. Sizes are measured in bytes throughout. All backends must be
 deterministic so that cached sizes equal fresh ones.
+
+A size request is keyed by its framing mode and the digests of its elements in
+canonical order (``request_key``); the cache holds the SHA-256 of that key, and
+the multiset is serialized only when the cache misses.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ from .multiset import Element
 SEPARATOR = b"\n"
 FRAMING_MODES = ("text", "varint")
 # First line of a size snapshot, followed by the name of the backend that wrote it.
-SNAPSHOT_HEADER = "# ncdm-sizes v1"
+# v2: records are keyed by ``content_digest(request_key(...))``.
+SNAPSHOT_HEADER = "# ncdm-sizes v2"
 _SNAPSHOT_RECORD = re.compile(r"[0-9a-f]{64}\t[1-9][0-9]*")
 
 
@@ -177,18 +182,34 @@ def serialize_multiset(
     its LEB128-encoded length and is safe for arbitrary binary content.
     """
     if mode == "text":
-        parts = []
-        for e in ms:
-            if separator in e.data:
-                raise SeparatorCollisionError(
-                    f"element {e.id!r} contains the separator byte "
-                    f"{separator!r}; use varint framing for binary data"
-                )
-            parts.append(e.data)
-        return separator.join(parts)
+        return separator.join(_check_separator(e, separator).data for e in ms)
     if mode == "varint":
         return b"".join(encode_uvarint(len(e.data)) + e.data for e in ms)
     raise ValueError(f"unknown framing mode {mode!r}; expected one of {FRAMING_MODES}")
+
+
+def _check_separator(e: Element, separator: bytes) -> Element:
+    if separator in e.data:
+        raise SeparatorCollisionError(
+            f"element {e.id!r} contains the separator byte "
+            f"{separator!r}; use varint framing for binary data"
+        )
+    return e
+
+
+def request_key(ms: Iterable[Element], mode: str) -> bytes:
+    """Key of the size request for ``serialize_multiset(ms, mode)``.
+
+    The framing mode followed by each element's digest in iteration order,
+    so equal keys frame equal bytes and a cache hit needs no serialization.
+    ``text`` framing checks every element for the separator here, so a
+    collision is raised before the cache is consulted.
+    """
+    if mode not in FRAMING_MODES:
+        raise ValueError(f"unknown framing mode {mode!r}; expected one of {FRAMING_MODES}")
+    if mode == "text":
+        ms = [_check_separator(e, SEPARATOR) for e in ms]
+    return b"".join([mode.encode(), b":", *(e.digest for e in ms)])
 
 
 def deserialize_multiset(data: bytes, mode: str = "text", separator: bytes = SEPARATOR) -> list[bytes]:
@@ -213,7 +234,7 @@ def content_digest(data: bytes) -> str:
 
 
 class SizeCache:
-    """Thread-safe map from content digest to compressed size.
+    """Thread-safe map from request digest to compressed size.
 
     Safe because backends are deterministic: duplicate inserts carry the same
     value, so last-write-wins never changes an answer. ``job_count`` counts
@@ -285,11 +306,14 @@ class SizeCache:
         return len(lines) - 1
 
 
-def cached_compress_len(backend: CompressorBackend, cache: SizeCache, data: bytes) -> int:
-    digest = content_digest(data)
+def cached_compress_len(
+    backend: CompressorBackend, cache: SizeCache, key: bytes, build: Callable[[], bytes]
+) -> int:
+    """Compressed size of the request ``key``; ``build()`` makes its bytes on a miss only."""
+    digest = content_digest(key)
     size = cache.get(digest)
     if size is None:
-        size = compress_len(backend, data)
+        size = compress_len(backend, build())
         cache.put(digest, size)
     return size
 
@@ -319,7 +343,7 @@ class NormalityReport:
         default_factory=lambda: {p: [] for p in NormalityReport.PROPERTIES}
     )
 
-    PROPERTIES = ("idempotency", "monotonicity", "symmetry", "distributivity")
+    PROPERTIES = ("determinism", "idempotency", "monotonicity", "symmetry", "distributivity")
 
     @property
     def ok(self) -> bool:
@@ -350,7 +374,9 @@ def normality_report(
 
     Checks, on sampled singletons/pairs/triples from the corpus, with G the
     compressed size and xy the framed concatenation in the given order:
-    idempotency |G(xx) - G(x)| <= tol, monotonicity G(xy) >= G(x) - tol,
+    determinism G(x) equal on a second compression (no tolerance: cached
+    sizes are only sound for a deterministic backend), idempotency
+    |G(xx) - G(x)| <= tol, monotonicity G(xy) >= G(x) - tol,
     symmetry |G(xy) - G(yx)| <= tol, and distributivity
     G(xy) + G(z) <= G(xz) + G(yz) + tol. Every recorded violation exceeds
     the tolerance for its input size.
@@ -383,11 +409,15 @@ def normality_report(
         singles = rng.sample(singles, max_singletons)
     for x in singles:
         gx = g_single(x)
+        drift = abs(compress_len(backend, x.data) - gx)
+        if drift:
+            report.violations["determinism"].append(NormalityViolation((x.id,), drift, 0))
         gxx = g_pair(x, x)
         tol = tol_fn(2 * len(x.data) + 1)
         slack = abs(gxx - gx)
         if slack > tol:
             report.violations["idempotency"].append(NormalityViolation((x.id, x.id), slack, tol))
+    report.checks["determinism"] = len(singles)
     report.checks["idempotency"] = len(singles)
 
     all_pairs = [

@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import hashlib
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -11,15 +12,19 @@ class Element:
     """An immutable byte string plus a stable identifier.
 
     The identifier carries provenance only (filename, index) and must be
-    unique within a corpus; distances depend on ``data`` alone.
+    unique within a corpus; distances depend on ``data`` alone. ``digest`` is
+    the SHA-256 of ``data``, computed once here; size requests are keyed by
+    it, so a cached size is found without hashing or serializing the data.
     """
 
     data: bytes
     id: str
+    digest: bytes = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.data, bytes):
             raise TypeError(f"element data must be bytes, got {type(self.data).__name__}")
+        object.__setattr__(self, "digest", hashlib.sha256(self.data).digest())
 
 
 def _sort_key(e: Element) -> tuple[int, bytes]:

@@ -22,6 +22,7 @@ from .compressor import (
     CompressorBackend,
     SizeCache,
     cached_compress_len,
+    request_key,
     serialize_multiset,
 )
 from .errors import CardinalityLimitError, DegenerateInputError
@@ -43,6 +44,10 @@ class NcdValue:
     value: float
     formula: str
     witness: Multiset | None = None
+
+
+def _pairwise(gx: int, gy: int, gxy: int) -> float:
+    return (gxy - min(gx, gy)) / max(gx, gy)
 
 
 @dataclass(frozen=True)
@@ -116,10 +121,12 @@ class DistanceMatrix:
 class NcdCalculator:
     """Computes compressed sizes and multiset distances against one backend.
 
-    Every size flows through a shared, thread-safe cache keyed by the digest
-    of the serialized bytes, so repeated sub-multisets are compressed exactly
-    once. It holds one pool of ``jobs`` workers for its lifetime (none when
-    ``jobs <= 1``); ``jobs`` changes wall time only, never results.
+    Every size flows through a shared, thread-safe cache keyed by the
+    request key (framing plus element digests), so repeated sub-multisets
+    are compressed exactly once and a cached size is answered without
+    serializing. It holds one pool of ``jobs`` workers for its lifetime
+    (none when ``jobs <= 1``); ``jobs`` changes wall time only, never
+    results.
     """
 
     def __init__(
@@ -141,20 +148,33 @@ class NcdCalculator:
         """Compressed size of the serialized multiset."""
         if len(ms) == 0:
             raise DegenerateInputError("an empty multiset has no compressed size")
-        return cached_compress_len(self.backend, self.cache, serialize_multiset(ms, self.mode))
+        return self._size((request_key(ms, self.mode), ms))
 
-    def g_element(self, element: Element) -> int:
-        return self.g(Multiset([element]))
+    def _size(self, request: tuple[bytes, Multiset]) -> int:
+        key, ms = request
+        return cached_compress_len(
+            self.backend, self.cache, key, lambda: serialize_multiset(ms, self.mode)
+        )
+
+    def _sizes(self, multisets: Sequence[Multiset]) -> list[int]:
+        """Sizes of ``multisets`` in order, from one map over their distinct request keys.
+
+        Deduped by key, not by multiset: copies of one text under different
+        ids are one request, so no two workers compress the same bytes.
+        """
+        keys = [request_key(ms, self.mode) for ms in multisets]
+        requests = dict(zip(keys, multisets))
+        size = dict(zip(requests, parallel_map(self._size, requests.items(), self._pool)))
+        return [size[key] for key in keys]
 
     def g_profile(self, ms: Multiset) -> GProfile:
         """G(X), G(X minus each occurrence) and G(x) for each x, in one map, largest first."""
-        if len(ms) < 2:
-            raise DegenerateInputError(f"need >= 2 elements, got {len(ms)}")
-        loo = [ms.remove_at(i) for i in range(len(ms))]
-        singles = [Multiset([e]) for e in ms]
-        unique = list(dict.fromkeys([ms, *loo, *singles]))  # a pair's loo sets are its singles
-        size = dict(zip(unique, parallel_map(self.g, unique, self._pool)))
-        return GProfile(size[ms], tuple(map(size.get, singles)), tuple(map(size.get, loo)))
+        n = len(ms)
+        if n < 2:
+            raise DegenerateInputError(f"need >= 2 elements, got {n}")
+        loo = [ms.remove_at(i) for i in range(n)]
+        whole, *rest = self._sizes([ms, *loo, *(Multiset([e]) for e in ms)])
+        return GProfile(whole, tuple(rest[n:]), tuple(rest[:n]))
 
     # -- distances -----------------------------------------------------
 
@@ -163,10 +183,8 @@ class NcdCalculator:
         return NcdValue(self.g_profile(ms).ncd1(), "ncd1")
 
     def ncd_pairwise(self, x: Element, y: Element) -> NcdValue:
-        gx = self.g_element(x)
-        gy = self.g_element(y)
-        gxy = self.g(Multiset([x, y]))
-        return NcdValue((gxy - min(gx, gy)) / max(gx, gy), "pairwise")
+        gx, gy = self.g(Multiset([x])), self.g(Multiset([y]))
+        return NcdValue(_pairwise(gx, gy, self.g(Multiset([x, y]))), "pairwise")
 
     def ncd_exact(self, ms: Multiset, max_card: int = DEFAULT_MAX_CARD) -> NcdValue:
         """Maximum of ncd1 over every sub-multiset with >= 2 members.
@@ -218,7 +236,7 @@ class NcdCalculator:
             removed = max(range(k), key=lambda i: (loo[i], -i))
             chain.append(ChainStep(k, value, current[removed].id))
             current = current.remove_at(removed)
-            next_loo = tuple(parallel_map(self.g, map(current.remove_at, range(k - 1)), self._pool))
+            next_loo = tuple(self._sizes([current.remove_at(i) for i in range(k - 1)]))
             profile = GProfile(loo[removed], singles[:removed] + singles[removed + 1 :], next_loo)
         assert best_value is not None
         return HeuristicResult(NcdValue(best_value, "heuristic", best_witness), tuple(chain))
@@ -226,17 +244,21 @@ class NcdCalculator:
     def distance_matrix(self, elements: Sequence[Element]) -> DistanceMatrix:
         """Symmetric matrix of pairwise distances; diagonal is 0 by definition.
 
-        Costs exactly one singleton compression per element plus one pair
-        compression per unordered pair on a fresh cache.
+        Asks for each singleton size once and for each unordered pair once,
+        so distinct elements cost n + n(n-1)/2 size requests.
         """
         els = list(elements)
         if len(els) < 2:
             raise DegenerateInputError("a distance matrix needs >= 2 elements")
         n = len(els)
-        parallel_map(self.g_element, els, self._pool)  # warm singletons once
+        singles = self._sizes([Multiset([e]) for e in els])
 
         def row(i: int) -> list[float]:
-            return [self.ncd_pairwise(els[i], y).value for y in els[i + 1 :]]
+            x, gx = els[i], singles[i]
+            return [
+                _pairwise(gx, gy, self.g(Multiset([x, y])))
+                for y, gy in zip(els[i + 1 :], singles[i + 1 :])
+            ]
 
         matrix = np.zeros((n, n))
         for i, values in enumerate(parallel_map(row, range(n), self._pool)):

@@ -247,12 +247,14 @@ def test_compressor_check(tmp_path, capsys):
     code, report, err = run(capsys, "compressor-check", str(d), "--backend", "bz2")
     assert code == 0
     assert set(report["violations"]) == {
+        "determinism",
         "idempotency",
         "monotonicity",
         "symmetry",
         "distributivity",
     }
     assert report["checks"]["symmetry"] > 0
+    assert report["checks"]["determinism"] == 5 and report["violations"]["determinism"] == []
 
 
 def test_quantize_and_config_round_trip(tmp_path, capsys):
@@ -353,7 +355,7 @@ def test_cache_from_another_backend_is_refused(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "snapshot",
-    ["abc\tnotanumber\n", "# ncdm-sizes v1 zlib-6\nabc\tnotanumber\n"],
+    ["abc\tnotanumber\n", "# ncdm-sizes v2 zlib-6\nabc\tnotanumber\n"],
     ids=["no-header", "bad-record"],
 )
 def test_malformed_cache_is_a_usage_error(tmp_path, capsys, snapshot):
@@ -364,6 +366,33 @@ def test_malformed_cache_is_a_usage_error(tmp_path, capsys, snapshot):
     code, report, err = run(capsys, "pair", str(a), str(a), "--backend", "zlib", "--cache", str(cache))
     assert code == 2 and report is None
     assert str(cache) in err and "Traceback" not in err
+
+
+def test_snapshot_of_an_earlier_version_is_refused(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    a.write_bytes(b"payload " * 50)
+    cache = tmp_path / "sizes.tsv"
+    cache.write_text("# ncdm-sizes v1 zlib-6\n" + "0" * 64 + "\t11\n")
+    code, report, err = run(capsys, "pair", str(a), str(a), "--backend", "zlib", "--cache", str(cache))
+    assert code == 2 and report is None
+    assert "# ncdm-sizes v2 zlib-6" in err and "Traceback" not in err
+
+
+def test_snapshot_answers_only_its_own_framing(tmp_path, capsys):
+    a = tmp_path / "a.txt"
+    b = tmp_path / "b.txt"
+    a.write_bytes(b"some shared words here " * 30)
+    b.write_bytes(b"other words, not shared " * 30)
+    pair = ["pair", str(a), str(b), "--backend", "zlib"]
+    code, fresh, _ = run(capsys, *pair, "--framing", "varint")
+    assert code == 0
+    cache = tmp_path / "sizes.tsv"
+    code, text, _ = run(capsys, *pair, "--framing", "text", "--cache", str(cache))
+    assert code == 0 and text["value"] != fresh["value"]
+    code, varint, _ = run(capsys, *pair, "--framing", "varint", "--cache", str(cache))
+    assert code == 0
+    assert varint["value"] == fresh["value"]
+    assert varint["compression_jobs"] == fresh["compression_jobs"] == 3
 
 
 @pytest.mark.parametrize("where", ["directory", "missing-parent"])

@@ -13,6 +13,7 @@ from ncdm import (
     Element,
     ExternalBackend,
     Multiset,
+    NcdCalculator,
     SeparatorCollisionError,
     SizeCache,
     ZlibBackend,
@@ -28,6 +29,7 @@ from ncdm.compressor import (
     default_tolerance,
     deserialize_multiset,
     encode_uvarint,
+    request_key,
 )
 
 from .conftest import random_element, random_text_element
@@ -123,6 +125,31 @@ def test_serialize_text_rejects_separator_in_element():
         serialize_multiset(ms, "text")
 
 
+def test_separator_collision_is_raised_before_any_cache_lookup():
+    bad = Multiset([E(b"a\nb", "1"), E(b"c", "2")])
+    calc = NcdCalculator(ZlibBackend(), mode="text")
+    # Whatever the cache holds, here a size for the very request, is not consulted.
+    calc.cache.put(content_digest(b"text:" + b"".join(e.digest for e in bad)), 7)
+    for ask in (calc.g, calc.g_profile, calc.ncd1, calc.ncd_heuristic):
+        with pytest.raises(SeparatorCollisionError):
+            ask(bad)
+    with pytest.raises(SeparatorCollisionError):
+        calc.distance_matrix(bad.elements)
+    assert calc.cache.lookups == 0
+
+
+def test_request_key_names_framing_and_contents_not_ids():
+    x, y = E(b"x", "1"), E(b"yy", "2")
+    key = request_key(Multiset([x, y]), "text")
+    assert key == request_key(Multiset([E(b"yy", "3"), E(b"x", "4")]), "text")
+    assert key != request_key(Multiset([x, y]), "varint")
+    assert key != request_key(Multiset([x]), "text")
+    assert key != request_key(Multiset([x, x]), "text")
+    assert request_key(Multiset([E(b"a\nb", "1")]), "varint")  # binary-safe framing
+    with pytest.raises(ValueError):
+        request_key(Multiset([x]), "packed")
+
+
 def test_serialize_unknown_mode():
     with pytest.raises(ValueError):
         serialize_multiset(Multiset(), "packed")
@@ -166,8 +193,9 @@ def test_cache_transparency():
     backend = Bz2Backend()
     cache = SizeCache()
     data = random_element(2, 4096, "x").data
-    first = cached_compress_len(backend, cache, data)
-    second = cached_compress_len(backend, cache, data)
+    key = b"request"
+    first = cached_compress_len(backend, cache, key, lambda: data)
+    second = cached_compress_len(backend, cache, key, lambda: data)
     assert first == second == compress_len(backend, data)
     assert cache.job_count == 1
     assert cache.hits == 1
@@ -180,7 +208,7 @@ def test_cache_snapshot_round_trip(tmp_path):
     path = tmp_path / "sizes.tsv"
     cache.save(path, "bz2-9")
     header, *lines = path.read_text().splitlines()
-    assert header == "# ncdm-sizes v1 bz2-9"
+    assert header == "# ncdm-sizes v2 bz2-9"
     assert len(lines) == 2
     assert lines == sorted(lines)  # sorted by digest
     digest, size = lines[0].split("\t")
@@ -199,7 +227,9 @@ def test_cache_concurrent_inserts_are_safe():
     cache = SizeCache()
     data = random_element(3, 1024, "x").data
     with ThreadPoolExecutor(8) as pool:
-        results = list(pool.map(lambda _: cached_compress_len(backend, cache, data), range(64)))
+        results = list(
+            pool.map(lambda _: cached_compress_len(backend, cache, b"key", lambda: data), range(64))
+        )
     assert len(set(results)) == 1
     assert cache.job_count >= 1
 
@@ -235,6 +265,33 @@ def test_normality_zero_tolerance_shows_asymmetry():
     assert len(report.violations["symmetry"]) > 0
     for violation in report.violations["symmetry"]:
         assert violation.slack > violation.tolerance == 0
+
+
+class DriftingBackend(ZlibBackend):
+    """Adds one byte to every other answer: a backend the cache cannot trust."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.calls = 0
+
+    def compress_len(self, data: bytes) -> int:
+        self.calls += 1
+        return super().compress_len(data) + self.calls % 2
+
+
+def test_normality_determinism_probe():
+    corpus = [random_text_element(30 + i, 1024, f"d{i}") for i in range(5)]
+    steady = normality_report(Bz2Backend(), corpus, seed=3)
+    assert steady.checks["determinism"] == 5
+    assert steady.violations["determinism"] == []
+    drifting = normality_report(DriftingBackend(), corpus, seed=3)
+    assert drifting.checks["determinism"] == 5
+    assert not drifting.ok
+    assert sorted(v.ids for v in drifting.violations["determinism"]) == [
+        (e.id,) for e in corpus
+    ]
+    for violation in drifting.violations["determinism"]:
+        assert violation.slack == 1 and violation.tolerance == 0
 
 
 def test_normality_empty_corpus_rejected():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -12,6 +13,13 @@ def E(data: bytes, ident: str | None = None) -> Element:
 def test_element_requires_bytes():
     with pytest.raises(TypeError):
         Element("not bytes", "x")  # type: ignore[arg-type]
+
+
+def test_element_digest_is_sha256_of_data_and_not_compared():
+    a, b = E(b"payload", "a"), E(b"payload", "b")
+    assert a.digest == b.digest == hashlib.sha256(b"payload").digest()
+    assert E(b"payload", "a") == a and hash(E(b"payload", "a")) == hash(a)
+    assert "digest" not in repr(a)
 
 
 def test_canonical_order_shorter_first():

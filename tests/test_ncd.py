@@ -1,9 +1,13 @@
 import bz2 as _bz2
 import itertools
 import random
+import tempfile
 import zlib as _zlib
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ncdm import (
     Bz2Backend,
@@ -319,6 +323,19 @@ def test_matrix_job_count(bz2_calc):
     assert cache.job_count == n + n * (n - 1) // 2
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_matrix_asks_for_each_size_once(jobs):
+    n = 7
+    elements = fragment_elements(35, make_vocab(35, ALPHABET_B), n)
+    calc = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
+    dm = calc.distance_matrix(elements)
+    assert calc.cache.lookups == n + n * (n - 1) // 2
+    pairwise = NcdCalculator(ZlibBackend(), jobs=1)
+    for i, j in itertools.combinations(range(n), 2):
+        value = pairwise.ncd_pairwise(elements[i], elements[j]).value
+        assert dm.values[i, j] == dm.values[j, i] == value  # bit for bit
+
+
 def test_matrix_parallel_serial_identical_csv():
     elements = fragment_elements(33, make_vocab(33, ALPHABET_A), 6)
     serial = NcdCalculator(Bz2Backend(), jobs=1).distance_matrix(elements)
@@ -354,3 +371,36 @@ def test_jobs_do_not_change_values():
     threaded = NcdCalculator(Bz2Backend(), jobs=4)
     assert serial.ncd_heuristic(ms).ncd.value == threaded.ncd_heuristic(ms).ncd.value
     assert serial.ncd_exact(ms).value == threaded.ncd_exact(ms).value
+
+
+def _everything(calc: NcdCalculator, elements: list[Element]) -> tuple:
+    ms = Multiset(elements)
+    heuristic = calc.ncd_heuristic(ms)
+    matrix = calc.distance_matrix(elements)
+    return (
+        calc.g_profile(ms),
+        heuristic.chain,
+        heuristic.ncd,
+        matrix.labels,
+        matrix.values.tolist(),
+    )
+
+
+@given(
+    st.lists(st.binary(min_size=0, max_size=48), min_size=2, max_size=5),
+    st.sampled_from(["text", "varint"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_warm_snapshot_equals_cold_run(payloads, mode):
+    if mode == "text":
+        payloads = [p.replace(b"\n", b" ") for p in payloads]
+    elements = [Element(p, f"e{i}") for i, p in enumerate(payloads)]
+    cold = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=1)
+    cold_answers = _everything(cold, elements)
+    with tempfile.TemporaryDirectory() as tmp:
+        snapshot = Path(tmp) / "sizes.tsv"
+        cold.cache.save(snapshot, cold.backend.name)
+        warm = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=1)
+        warm.cache.load(snapshot, warm.backend.name)
+    assert _everything(warm, elements) == cold_answers
+    assert warm.cache.job_count == 0

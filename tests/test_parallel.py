@@ -8,11 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncdm.compressor
 import ncdm.parallel
-from ncdm import Element, LabeledCorpus, Multiset, NcdCalculator, SizeCache, ZlibBackend, loocv
+from ncdm import (
+    Bz2Backend,
+    Element,
+    LabeledCorpus,
+    Multiset,
+    NcdCalculator,
+    SizeCache,
+    ZlibBackend,
+    loocv,
+)
 from ncdm.cli import main
 
-from .conftest import ALPHABET_A, ALPHABET_B, phrase_class
+from .conftest import ALPHABET_A, ALPHABET_B, phrase_class, random_text_element
 
 
 @pytest.mark.parametrize(("jobs", "pools"), [(1, 0), (2, 1)])
@@ -36,6 +46,26 @@ def test_one_pool_per_calculator(monkeypatch, jobs, pools):
     calc.distance_matrix(everything.elements)
     loocv(calc, LabeledCorpus(classes=classes))
     assert len(built) == pools
+
+
+def test_copies_under_other_ids_are_compressed_once(monkeypatch):
+    calls = []
+    compress_len = ncdm.compressor.compress_len
+
+    def counting(backend, data):
+        calls.append(len(data))
+        return compress_len(backend, data)
+
+    monkeypatch.setattr(ncdm.compressor, "compress_len", counting)
+    texts = [random_text_element(60 + i, 1500, f"t{i}").data for i in range(3)]
+    ms = Multiset(Element(text, f"{copy}{i}") for i, text in enumerate(texts) for copy in "ab")
+    jobs = 0
+    for _ in range(40):
+        calc = NcdCalculator(Bz2Backend(), cache=SizeCache(), jobs=2)
+        calc.g_profile(ms)
+        calc.ncd_heuristic(ms)
+        jobs += calc.cache.job_count
+    assert len(calls) == jobs
 
 
 def test_cli_leaves_no_worker_threads(tmp_path, capsys):
