@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -22,6 +23,7 @@ from .compressor import (
     CompressorBackend,
     SizeCache,
     cached_compress_len,
+    prefix_frame,
     request_key,
     serialize_multiset,
 )
@@ -244,23 +246,44 @@ class NcdCalculator:
     def distance_matrix(self, elements: Sequence[Element]) -> DistanceMatrix:
         """Symmetric matrix of pairwise distances; diagonal is 0 by definition.
 
-        Asks for each singleton size once and for each unordered pair once,
-        so distinct elements cost n + n(n-1)/2 size requests.
+        Works on the distinct contents in canonical order, one row task per
+        content x: the row asks for G(xy) of every later y, and for G(xx) when
+        x occurs more than once, so each size is asked for once, by one task.
+        The row compresses ``prefix_frame(x)`` once, into ``backend.after``,
+        and each pair on a miss compresses only the framed y from there.
+        Values are then scattered back to every id. n distinct elements cost
+        n + n(n-1)/2 size requests.
         """
         els = list(elements)
         if len(els) < 2:
             raise DegenerateInputError("a distance matrix needs >= 2 elements")
-        n = len(els)
         singles = self._sizes([Multiset([e]) for e in els])
+        distinct = Multiset({e.digest: e for e in els}.values())
+        counts = Counter(e.digest for e in els)
 
-        def row(i: int) -> list[float]:
-            x, gx = els[i], singles[i]
+        def row(r: int) -> list[int]:
+            x = distinct[r]
+            after_x = self.backend.after(prefix_frame(x, self.mode))
             return [
-                _pairwise(gx, gy, self.g(Multiset([x, y])))
-                for y, gy in zip(els[i + 1 :], singles[i + 1 :])
+                cached_compress_len(
+                    after_x,
+                    self.cache,
+                    request_key((x, y), self.mode),
+                    lambda: serialize_multiset((y,), self.mode),
+                )
+                for y in distinct.elements[r if counts[x.digest] > 1 else r + 1 :]
             ]
 
+        m = len(distinct)
+        gxy = np.zeros((m, m), dtype=np.int64)
+        for r, sizes in enumerate(parallel_map(row, range(m), self._pool)):
+            # Row r covers columns r + 1 .. m - 1, and r itself for a repeated x.
+            gxy[r, m - len(sizes) :] = gxy[m - len(sizes) :, r] = sizes
+        column = {x.digest: c for c, x in enumerate(distinct)}
+        at = [column[e.digest] for e in els]
+        n = len(els)
         matrix = np.zeros((n, n))
-        for i, values in enumerate(parallel_map(row, range(n), self._pool)):
-            matrix[i, i + 1 :] = matrix[i + 1 :, i] = values
+        for i, j in itertools.combinations(range(n), 2):
+            pair = int(gxy[at[i], at[j]])
+            matrix[i, j] = matrix[j, i] = _pairwise(singles[i], singles[j], pair)
         return DistanceMatrix(tuple(e.id for e in els), matrix)

@@ -8,6 +8,7 @@ the planted structure the classification and partitioning tests rely on.
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -111,6 +112,13 @@ def near_copy_class(
             words[rng.randrange(base_words)] = rng.choice(vocab)
         out.append(Element(" ".join(words).encode(), id=f"{prefix}{i:03d}"))
     return out
+
+
+class PlusOne(ZlibBackend):
+    """Reports every compressed size one byte too long."""
+
+    def compress_len(self, data: bytes) -> int:
+        return len(zlib.compress(data, self.level)) + 1
 
 
 @pytest.fixture

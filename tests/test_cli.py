@@ -254,7 +254,10 @@ def test_compressor_check(tmp_path, capsys):
         "distributivity",
     }
     assert report["checks"]["symmetry"] > 0
-    assert report["checks"]["determinism"] == 5 and report["violations"]["determinism"] == []
+    # 5 singletons compressed twice, then each of the 10 pairs through a checkpoint.
+    assert report["checks"]["symmetry"] == 10
+    assert report["checks"]["determinism"] == 5 + 10
+    assert report["violations"]["determinism"] == []
 
 
 def test_quantize_and_config_round_trip(tmp_path, capsys):

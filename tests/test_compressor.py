@@ -1,3 +1,4 @@
+import bz2
 import random
 import stat
 import zlib
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from ncdm import (
     BackendUnavailableError,
     Bz2Backend,
+    CompressorBackend,
     Element,
     ExternalBackend,
     Multiset,
@@ -23,16 +25,16 @@ from ncdm import (
     serialize_multiset,
 )
 from ncdm.compressor import (
+    FRAMING_MODES,
     cached_compress_len,
     content_digest,
-    decode_uvarint,
     default_tolerance,
-    deserialize_multiset,
     encode_uvarint,
+    prefix_frame,
     request_key,
 )
 
-from .conftest import random_element, random_text_element
+from .conftest import PlusOne, random_element, random_text_element
 
 
 def E(data: bytes, ident: str) -> Element:
@@ -101,6 +103,65 @@ def test_external_backend_empty_output_rejected():
         compress_len(ExternalBackend(["cat"]), b"")
 
 
+# -- checkpoints ---------------------------------------------------------
+
+# Element sizes on both sides of deflate's 32 KiB window.
+WINDOW_EDGES = (0, 1, 32_767, 32_768, 70_000)
+
+
+def window_payload(rng: random.Random, size: int, source: bytes = b"") -> bytes:
+    """Words, noise and runs copied from ``source``, so deflate finds matches
+    inside the payload and back across the prefix boundary."""
+    out = bytearray()
+    while len(out) < size:
+        kind = rng.randrange(3)
+        if kind == 0 and source:
+            start = rng.randrange(len(source))
+            out += source[start : start + rng.randrange(3, 300)]
+        elif kind == 1:
+            out += rng.randbytes(rng.randrange(1, 64)).replace(b"\n", b" ")
+        else:
+            out += bytes(rng.choice(b"abcdefgh ") for _ in range(rng.randrange(1, 40)))
+    return bytes(out[:size])
+
+
+def window_pair(seed: int, x_size: int, y_size: int) -> tuple[Element, Element]:
+    rng = random.Random(seed)
+    x = window_payload(rng, x_size)
+    return E(x, "x"), E(window_payload(rng, y_size, x), "y")
+
+
+@given(
+    st.integers(1, 9),
+    st.sampled_from(FRAMING_MODES),
+    st.sampled_from(WINDOW_EDGES),
+    st.sampled_from(WINDOW_EDGES),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=80, deadline=None)
+def test_deflate_checkpoint_equals_one_shot(level, mode, x_size, y_size, seed):
+    x, y = window_pair(seed, x_size, y_size)
+    prefix = prefix_frame(x, mode)
+    after_x = ZlibBackend(level).after(prefix)
+    # The view is reused, so a suffix must not disturb the saved state.
+    for suffix in (serialize_multiset((y,), mode), serialize_multiset((x,), mode)):
+        assert compress_len(after_x, suffix) == len(zlib.compress(prefix + suffix, level))
+
+
+@given(
+    st.sampled_from(FRAMING_MODES),
+    st.sampled_from(WINDOW_EDGES),
+    st.sampled_from(WINDOW_EDGES),
+    st.integers(0, 2**16),
+)
+@settings(max_examples=15, deadline=None)
+def test_bz2_after_compresses_the_concatenation(mode, x_size, y_size, seed):
+    x, y = window_pair(seed, x_size, y_size)
+    prefix, suffix = prefix_frame(x, mode), serialize_multiset((y,), mode)
+    assert prefix + suffix == serialize_multiset((x, y), mode)
+    assert compress_len(Bz2Backend(1).after(prefix), suffix) == len(bz2.compress(prefix + suffix, 1))
+
+
 # -- serialization -----------------------------------------------------
 
 
@@ -155,12 +216,36 @@ def test_serialize_unknown_mode():
         serialize_multiset(Multiset(), "packed")
 
 
+def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
+    """Unsigned LEB128 decoder; returns (value, next offset)."""
+    result = shift = 0
+    while True:
+        if offset >= len(data):
+            raise ValueError("truncated varint")
+        byte = data[offset]
+        offset += 1
+        result |= (byte & 0x7F) << shift
+        if not byte & 0x80:
+            return result, offset
+        shift += 7
+
+
+def split_varint_frames(blob: bytes) -> list[bytes]:
+    out, pos = [], 0
+    while pos < len(blob):
+        length, pos = decode_uvarint(blob, pos)
+        assert pos + length <= len(blob), "truncated element payload"
+        out.append(blob[pos : pos + length])
+        pos += length
+    return out
+
+
 @given(st.lists(st.binary(min_size=0, max_size=40), min_size=0, max_size=8))
 @settings(max_examples=200, deadline=None)
 def test_varint_framing_round_trips(payloads):
     ms = Multiset([E(p, f"e{i}") for i, p in enumerate(payloads)])
     blob = serialize_multiset(ms, "varint")
-    assert deserialize_multiset(blob, "varint") == [e.data for e in ms]
+    assert split_varint_frames(blob) == [e.data for e in ms]
 
 
 @given(st.lists(st.binary(min_size=1, max_size=40), min_size=2, max_size=8))
@@ -282,15 +367,37 @@ class DriftingBackend(ZlibBackend):
 def test_normality_determinism_probe():
     corpus = [random_text_element(30 + i, 1024, f"d{i}") for i in range(5)]
     steady = normality_report(Bz2Backend(), corpus, seed=3)
-    assert steady.checks["determinism"] == 5
+    assert steady.checks["determinism"] == 5 + 10  # singletons, then pairs
     assert steady.violations["determinism"] == []
     drifting = normality_report(DriftingBackend(), corpus, seed=3)
-    assert drifting.checks["determinism"] == 5
+    assert drifting.checks["determinism"] == 5 + 10
     assert not drifting.ok
+    # Each pair's checkpointed size is the third call after its one-shot
+    # size, so the alternating drift shows on the singletons only.
     assert sorted(v.ids for v in drifting.violations["determinism"]) == [
         (e.id,) for e in corpus
     ]
     for violation in drifting.violations["determinism"]:
+        assert violation.slack == 1 and violation.tolerance == 0
+
+
+class ChunkSensitiveBackend(ZlibBackend):
+    """A deflate whose output grows by a byte when its input arrives in two parts."""
+
+    def after(self, prefix: bytes) -> CompressorBackend:
+        return PlusOne(self.level).after(prefix)
+
+
+@pytest.mark.parametrize("mode", FRAMING_MODES)
+def test_normality_determinism_probe_covers_checkpoints(mode):
+    corpus = [random_text_element(40 + i, 1024, f"c{i}") for i in range(4)]
+    assert normality_report(ZlibBackend(), corpus, seed=4, mode=mode).violations["determinism"] == []
+    report = normality_report(ChunkSensitiveBackend(), corpus, seed=4, mode=mode)
+    assert report.checks["determinism"] == 4 + 6
+    assert sorted(v.ids for v in report.violations["determinism"]) == sorted(
+        (x.id, y.id) for i, x in enumerate(corpus) for y in corpus[i + 1 :]
+    )
+    for violation in report.violations["determinism"]:
         assert violation.slack == 1 and violation.tolerance == 0
 
 

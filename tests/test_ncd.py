@@ -2,9 +2,11 @@ import bz2 as _bz2
 import itertools
 import random
 import tempfile
+import threading
 import zlib as _zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +21,14 @@ from ncdm import (
     SizeCache,
     ZlibBackend,
 )
+from ncdm import compressor
+from ncdm.compressor import serialize_multiset
 from ncdm.ncd import DEFAULT_EPSILON
 
 from .conftest import (
     ALPHABET_A,
     ALPHABET_B,
+    PlusOne,
     fragment_elements,
     make_vocab,
     random_element,
@@ -334,6 +339,70 @@ def test_matrix_asks_for_each_size_once(jobs):
     for i, j in itertools.combinations(range(n), 2):
         value = pairwise.ncd_pairwise(elements[i], elements[j]).value
         assert dm.values[i, j] == dm.values[j, i] == value  # bit for bit
+
+
+def test_matrix_compresses_each_pair_of_repeated_texts_once(monkeypatch):
+    calls = []
+    lock = threading.Lock()
+    real = compressor.compress_len
+
+    def counting(backend, data):
+        with lock:
+            calls.append(len(data))
+        return real(backend, data)
+
+    monkeypatch.setattr(compressor, "compress_len", counting)
+    texts = fragment_elements(36, make_vocab(36, ALPHABET_A), 4, n_words=250)
+    jobs = 0
+    for k in range(20):
+        # Each text twice, under different ids, in a different order each time.
+        elements = [Element(e.data, f"{e.id}-{copy}") for copy in "ab" for e in texts]
+        random.Random(k).shuffle(elements)
+        calc = NcdCalculator(Bz2Backend(), cache=SizeCache(), jobs=2)
+        calc.distance_matrix(elements)
+        # 4 singletons, 6 pairs of distinct texts and 4 self-pairs.
+        assert calc.cache.job_count == 4 + 6 + 4
+        jobs += calc.cache.job_count
+    assert len(calls) == jobs
+
+
+@pytest.mark.parametrize("mode", ["text", "varint"])
+def test_matrix_pair_sizes_come_from_a_subclass_override(mode):
+    elements = fragment_elements(37, make_vocab(37, ALPHABET_B), 4)
+    elements.append(Element(elements[0].data, "copy"))
+    calc = NcdCalculator(PlusOne(), mode=mode, jobs=1)
+    dm = calc.distance_matrix(elements)
+    g = {e.id: len(_zlib.compress(serialize_multiset((e,), mode))) + 1 for e in elements}
+    for (i, x), (j, y) in itertools.combinations(enumerate(elements), 2):
+        pair = Multiset([x, y])
+        gxy = len(_zlib.compress(serialize_multiset(pair, mode))) + 1
+        assert calc.g(pair) == gxy  # the size the matrix cached
+        expected = (gxy - min(g[x.id], g[y.id])) / max(g[x.id], g[y.id])
+        assert dm.values[i, j] == dm.values[j, i] == expected
+
+
+@given(
+    st.lists(st.binary(min_size=0, max_size=64), min_size=2, max_size=7),
+    st.lists(st.integers(0, 6), max_size=4),
+    st.randoms(use_true_random=False),
+    st.sampled_from(["text", "varint"]),
+    st.sampled_from([1, 2]),
+)
+@settings(max_examples=40, deadline=None)
+def test_matrix_permutation_invariant(payloads, repeats, rng, mode, jobs):
+    if mode == "text":
+        payloads = [p.replace(b"\n", b" ") for p in payloads]
+    payloads += [payloads[r % len(payloads)] for r in repeats]  # repeated texts
+    elements = [Element(p, f"e{i}") for i, p in enumerate(payloads)]
+    order = list(range(len(elements)))
+    rng.shuffle(order)
+    backend = ZlibBackend()
+    dm = NcdCalculator(backend, mode=mode, cache=SizeCache(), jobs=jobs).distance_matrix(elements)
+    shuffled = NcdCalculator(backend, mode=mode, cache=SizeCache(), jobs=jobs).distance_matrix(
+        [elements[i] for i in order]
+    )
+    assert shuffled.labels == tuple(dm.labels[i] for i in order)
+    assert shuffled.values.tobytes() == dm.values[np.ix_(order, order)].tobytes()
 
 
 def test_matrix_parallel_serial_identical_csv():
