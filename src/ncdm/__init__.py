@@ -13,12 +13,11 @@ from .classify import (
     ClassificationReport,
     LabeledCorpus,
     TestItem,
-    classify_by_delta,
+    classify_items,
     delta_ncd1,
     delta_scores,
     loocv,
     mean_distance_scores,
-    min_distance_classify,
     wilson_ci,
 )
 from .compressor import (
@@ -98,7 +97,7 @@ __all__ = [
     "TimeSeries",
     "ZlibBackend",
     "cell_radius",
-    "classify_by_delta",
+    "classify_items",
     "compress_len",
     "delta_ncd1",
     "delta_scores",
@@ -111,7 +110,6 @@ __all__ = [
     "margin",
     "mean_distance_scores",
     "min_class_distances",
-    "min_distance_classify",
     "min_inter_class_margin",
     "normality_report",
     "otsu_threshold",

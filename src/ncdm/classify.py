@@ -5,6 +5,15 @@ least when the element is added; that delta can be negative when the element
 is redundant with the class, which is exactly the discriminative signal. A
 mean-pairwise-distance classifier is kept as the baseline, and leave-one-out
 cross-validation reports accuracy with a Wilson score interval.
+
+``classify_items`` is the one scoring path, shared by the library, the
+``classify`` command and ``loocv``. It plans, then scores: a batch of
+``(item, classes)`` cases asks for all its compressed sizes in one map
+(``NcdCalculator.g_profiles`` over the distinct ``C + x`` and ``C`` for
+delta-ncd1, ``NcdCalculator.ncd_pairs`` over every item-member pair for
+min-distance), longest request first, and each score is then computed from
+those sizes with the same float operations as a single item's. A whole
+LOOCV is one such batch.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from .errors import CorpusError, DegenerateInputError
 from .multiset import Element, Multiset
@@ -112,30 +121,59 @@ def delta_ncd1(calc: NcdCalculator, x: Element, klass: Multiset) -> float:
     return calc.ncd1(klass.add(x)).value - calc.ncd1(klass).value
 
 
+Case = tuple[TestItem, Mapping[str, Multiset]]
+
+
 def _check_classes(classes: Mapping[str, Multiset]) -> None:
     if not classes:
         raise CorpusError("no classes to score against")
 
 
+def _delta_batch(calc: NcdCalculator, cases: Sequence[Case]) -> list[dict[str, float]]:
+    """delta-ncd1 of each case's item against each of its classes, from one plan."""
+    wanted = []
+    for item, classes in cases:
+        _check_classes(classes)
+        for label in sorted(classes):
+            klass = classes[label]
+            if len(klass) < 2:
+                raise DegenerateInputError(f"class needs >= 2 members, got {len(klass)}")
+            wanted += [klass.add(item.element), klass]
+    ncd1 = iter([profile.ncd1() for profile in calc.g_profiles(wanted)])
+    deltas = iter([with_x - without for with_x, without in zip(ncd1, ncd1)])
+    return [{label: next(deltas) for label in sorted(classes)} for _, classes in cases]
+
+
+def _mean_distance_batch(calc: NcdCalculator, cases: Sequence[Case]) -> list[dict[str, float]]:
+    """Mean pairwise distance of each case's item to each of its classes, from one plan."""
+    pairs = []
+    for item, classes in cases:
+        _check_classes(classes)
+        for label in sorted(classes):
+            if len(classes[label]) == 0:
+                raise CorpusError(f"class {label!r} is empty")
+            pairs += [(item.element, m) for m in classes[label]]
+    distances = iter(calc.ncd_pairs(pairs))
+    return [
+        {
+            label: sum(next(distances) for _ in classes[label]) / len(classes[label])
+            for label in sorted(classes)
+        }
+        for _, classes in cases
+    ]
+
+
 def delta_scores(
     calc: NcdCalculator, x: Element, classes: Mapping[str, Multiset]
 ) -> dict[str, float]:
-    _check_classes(classes)
-    return {label: delta_ncd1(calc, x, classes[label]) for label in sorted(classes)}
+    return _delta_batch(calc, [(TestItem(x), classes)])[0]
 
 
 def mean_distance_scores(
     calc: NcdCalculator, x: Element, classes: Mapping[str, Multiset]
 ) -> dict[str, float]:
     """Distance from x to each class: arithmetic mean of pairwise distances."""
-    _check_classes(classes)
-    out = {}
-    for label in sorted(classes):
-        members = classes[label]
-        if len(members) == 0:
-            raise CorpusError(f"class {label!r} is empty")
-        out[label] = sum(calc.ncd_pairwise(x, m).value for m in members) / len(members)
-    return out
+    return _mean_distance_batch(calc, [(TestItem(x), classes)])[0]
 
 
 def _argmin_label(scores: Mapping[str, float]) -> str:
@@ -144,28 +182,23 @@ def _argmin_label(scores: Mapping[str, float]) -> str:
     return min(sorted(scores), key=lambda label: scores[label])
 
 
-def classify_by_delta(
-    calc: NcdCalculator, x: Element, classes: Mapping[str, Multiset]
-) -> str:
-    return _argmin_label(delta_scores(calc, x, classes))
-
-
-def min_distance_classify(
-    calc: NcdCalculator, x: Element, classes: Mapping[str, Multiset]
-) -> str:
-    return _argmin_label(mean_distance_scores(calc, x, classes))
-
-
-SCORERS = {"delta-ncd1": delta_scores, "min-distance": mean_distance_scores}
+SCORERS = {"delta-ncd1": _delta_batch, "min-distance": _mean_distance_batch}
 METHODS = tuple(SCORERS)
 
 
-def classify_item(
-    calc: NcdCalculator, item: TestItem, classes: Mapping[str, Multiset], method: str
-) -> ItemResult:
-    """Score one item against every class with ``method`` and take the argmin."""
-    scores = SCORERS[method](calc, item.element, classes)
-    return ItemResult(item.element.id, item.label, _argmin_label(scores), scores)
+def classify_items(
+    calc: NcdCalculator, cases: Sequence[Case], method: str
+) -> list[ItemResult]:
+    """Score each case's item against its classes with ``method`` and take the argmin.
+
+    Every size the batch needs is compressed in one map before any score is
+    computed; the results equal scoring the cases one at a time.
+    """
+    scores = SCORERS[method](calc, cases)
+    return [
+        ItemResult(item.element.id, item.label, _argmin_label(s), s)
+        for (item, _), s in zip(cases, scores)
+    ]
 
 
 def loocv(
@@ -179,8 +212,9 @@ def loocv(
 
     Each element is held out in turn and its own occurrence is removed from
     its class before any scoring, so no method ever sees the held-out element
-    on the training side. Folds are independent; results assemble in corpus
-    order regardless of execution order.
+    on the training side. Every fold is one case of a single
+    ``classify_items`` batch, so the whole LOOCV compresses in one map;
+    results assemble in corpus order.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -193,13 +227,12 @@ def loocv(
                 f"class {label!r} has {len(ms)} members; LOOCV needs >= 3 "
                 "so the depleted class keeps >= 2"
             )
-    items: list[ItemResult] = []
-    for label in sorted(classes):
-        ms = classes[label]
-        for idx in range(len(ms)):
-            fold_classes = dict(classes)
-            fold_classes[label] = ms.remove_at(idx)
-            items.append(classify_item(calc, TestItem(ms[idx], label), fold_classes, method))
+    cases = [
+        (TestItem(ms[idx], label), {**classes, label: ms.remove_at(idx)})
+        for label, ms in sorted(classes.items())
+        for idx in range(len(ms))
+    ]
+    items = classify_items(calc, cases, method)
     correct = sum(item.predicted == item.true_label for item in items)
     n = len(items)
     accuracy = correct / n

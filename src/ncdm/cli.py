@@ -26,7 +26,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .classify import METHODS, TestItem, classify_item, loocv
+from .classify import METHODS, TestItem, classify_items, loocv
 from .compressor import CompressorBackend, SizeCache, get_backend, normality_report
 from .datagen import CellModelParams, simulate_population, write_population
 from .errors import NcdmError
@@ -233,7 +233,7 @@ def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, str]:
         items.append(TestItem(_read_element(_require_file(path))))
     if not items:
         raise UsageError("no items to classify; pass files or --test")
-    results = [classify_item(calc, item, corpus.classes, method) for item in items]
+    results = classify_items(calc, [(item, corpus.classes) for item in items], method)
     report = {
         "command": "classify",
         "config": _config_echo(calc, method=method, classes=sorted(corpus.classes)),

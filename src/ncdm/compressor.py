@@ -40,6 +40,9 @@ FRAMING_MODES = ("text", "varint")
 # First line of a size snapshot, followed by the name of the backend that wrote it.
 # v2: records are keyed by ``content_digest(request_key(...))``.
 SNAPSHOT_HEADER = "# ncdm-sizes v2"
+# Seconds an external compressor may take on one request before it is killed
+# and reported unavailable, so a hung ``cmd:`` command cannot hang a run.
+EXTERNAL_TIMEOUT_S = 600.0
 _SNAPSHOT_RECORD = re.compile(r"[0-9a-f]{64}\t[1-9][0-9]*")
 
 
@@ -136,7 +139,8 @@ class ExternalBackend(CompressorBackend):
     """Pipes data through an external command and counts the bytes it emits.
 
     The command must read plaintext from stdin and write the compressed
-    stream to stdout.
+    stream to stdout. A command still running after ``EXTERNAL_TIMEOUT_S``
+    is killed, and the request fails with ``BackendUnavailableError``.
     """
 
     kind = "external-command"
@@ -155,7 +159,12 @@ class ExternalBackend(CompressorBackend):
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
                 check=False,
+                timeout=EXTERNAL_TIMEOUT_S,
             )
+        except subprocess.TimeoutExpired as exc:
+            raise BackendUnavailableError(
+                f"{self.name} gave no answer within {EXTERNAL_TIMEOUT_S:g} s"
+            ) from exc
         except FileNotFoundError as exc:
             raise BackendUnavailableError(
                 f"compressor command not found: {self.argv[0]!r}"
@@ -226,6 +235,14 @@ def serialize_multiset(
     if mode == "varint":
         return b"".join(encode_uvarint(len(e.data)) + e.data for e in ms)
     raise ValueError(f"unknown framing mode {mode!r}; expected one of {FRAMING_MODES}")
+
+
+def serialized_len(ms: Iterable[Element], mode: str) -> int:
+    """``len(serialize_multiset(ms, mode))``, without building the bytes."""
+    sizes = [len(e.data) for e in ms]
+    if mode == "text":
+        return sum(sizes) + max(len(sizes) - 1, 0) * len(SEPARATOR)
+    return sum(n + len(encode_uvarint(n)) for n in sizes)
 
 
 def prefix_frame(e: Element, mode: str) -> bytes:

@@ -5,6 +5,15 @@ maximum over every sub-multiset of cardinality >= 2, the greedy heuristic
 approximates that maximum from below in O(n^2) compressions by walking a
 chain of nested sub-multisets, and the pairwise distance is the two-element
 special case.
+
+Every operation first plans its compressed sizes, then scores from them. A
+plan is the list of distinct size requests it needs, deduped by request key
+as they are generated; ``NcdCalculator`` runs each plan as one map over its
+worker pool, longest serialization first, so no worker idles behind a long
+request at the tail. ``g_profiles`` plans the whole multiset, leave-one-outs
+and singletons of a whole batch of multisets at once, which is how the exact
+distance, the classifiers, LOOCV and K-Lists ask for their sizes: a whole
+LOOCV, or a whole ``classify`` batch, compresses in one map.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from .compressor import (
     prefix_frame,
     request_key,
     serialize_multiset,
+    serialized_len,
 )
 from .errors import CardinalityLimitError, DegenerateInputError
 from .multiset import Element, Multiset
@@ -120,6 +130,23 @@ class DistanceMatrix:
         return buf.getvalue()
 
 
+class _Plan:
+    """Distinct size requests in first-asked order, each kept once under its key."""
+
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
+        self.slots: dict[bytes, int] = {}
+        self.requests: list[tuple[bytes, Multiset]] = []
+
+    def ask(self, ms: Multiset) -> int:
+        """Index of ``ms``'s size in the plan's answers; a repeated key gets its first index."""
+        key = request_key(ms, self.mode)
+        slot = self.slots.setdefault(key, len(self.requests))
+        if slot == len(self.requests):
+            self.requests.append((key, ms))
+        return slot
+
+
 class NcdCalculator:
     """Computes compressed sizes and multiset distances against one backend.
 
@@ -158,25 +185,67 @@ class NcdCalculator:
             self.backend, self.cache, key, lambda: serialize_multiset(ms, self.mode)
         )
 
+    def _run(self, plan: _Plan) -> list[int]:
+        """The sizes of ``plan``'s requests, by index, from one map that starts with the longest.
+
+        Bytes are built only on a cache miss, inside the worker.
+        """
+        requests = plan.requests
+        longest_first = sorted(
+            range(len(requests)), key=lambda i: -serialized_len(requests[i][1], self.mode)
+        )
+        sizes = [0] * len(requests)
+        answers = parallel_map(self._size, [requests[i] for i in longest_first], self._pool)
+        for i, size in zip(longest_first, answers):
+            sizes[i] = size
+        return sizes
+
     def _sizes(self, multisets: Sequence[Multiset]) -> list[int]:
         """Sizes of ``multisets`` in order, from one map over their distinct request keys.
 
         Deduped by key, not by multiset: copies of one text under different
         ids are one request, so no two workers compress the same bytes.
         """
-        keys = [request_key(ms, self.mode) for ms in multisets]
-        requests = dict(zip(keys, multisets))
-        size = dict(zip(requests, parallel_map(self._size, requests.items(), self._pool)))
-        return [size[key] for key in keys]
+        plan = _Plan(self.mode)
+        slots = [plan.ask(ms) for ms in multisets]
+        sizes = self._run(plan)
+        return [sizes[slot] for slot in slots]
+
+    def g_profiles(self, multisets: Sequence[Multiset]) -> list[GProfile]:
+        """The ``GProfile`` of each multiset, from one map over every distinct request.
+
+        A profile asks for G(X), G(X minus each occurrence) and G(x) for each
+        x. Multisets with equal request keys share one profile, and each
+        distinct request is compressed at most once, largest first.
+        """
+        plan = _Plan(self.mode)
+        layouts: dict[int, tuple[list[int], list[int]]] = {}
+        wholes = []
+        for ms in multisets:
+            n = len(ms)
+            if n < 2:
+                raise DegenerateInputError(f"need >= 2 elements, got {n}")
+            whole = plan.ask(ms)
+            if whole not in layouts:
+                layouts[whole] = (
+                    [plan.ask(ms.remove_at(i)) for i in range(n)],
+                    [plan.ask(Multiset([e])) for e in ms],
+                )
+            wholes.append(whole)
+        sizes = self._run(plan)
+        profiles = {
+            whole: GProfile(
+                sizes[whole],
+                tuple(sizes[i] for i in singles),
+                tuple(sizes[i] for i in loo),
+            )
+            for whole, (loo, singles) in layouts.items()
+        }
+        return [profiles[whole] for whole in wholes]
 
     def g_profile(self, ms: Multiset) -> GProfile:
         """G(X), G(X minus each occurrence) and G(x) for each x, in one map, largest first."""
-        n = len(ms)
-        if n < 2:
-            raise DegenerateInputError(f"need >= 2 elements, got {n}")
-        loo = [ms.remove_at(i) for i in range(n)]
-        whole, *rest = self._sizes([ms, *loo, *(Multiset([e]) for e in ms)])
-        return GProfile(whole, tuple(rest[n:]), tuple(rest[:n]))
+        return self.g_profiles([ms])[0]
 
     # -- distances -----------------------------------------------------
 
@@ -188,10 +257,18 @@ class NcdCalculator:
         gx, gy = self.g(Multiset([x])), self.g(Multiset([y]))
         return NcdValue(_pairwise(gx, gy, self.g(Multiset([x, y]))), "pairwise")
 
+    def ncd_pairs(self, pairs: Sequence[tuple[Element, Element]]) -> list[float]:
+        """``ncd_pairwise(x, y).value`` of each pair, from one map over every singleton and pair."""
+        sizes = self._sizes(
+            [ms for x, y in pairs for ms in (Multiset([x]), Multiset([y]), Multiset([x, y]))]
+        )
+        return [_pairwise(*sizes[i : i + 3]) for i in range(0, len(sizes), 3)]
+
     def ncd_exact(self, ms: Multiset, max_card: int = DEFAULT_MAX_CARD) -> NcdValue:
         """Maximum of ncd1 over every sub-multiset with >= 2 members.
 
-        Enumerates the full powerset, so the cardinality is capped. Cardinality
+        Enumerates the full powerset, so the cardinality is capped; all
+        2^n - n - 1 profiles are planned and compressed in one map. Cardinality
         0 and 1 score 0 by definition. The witness is the first maximizing
         subset in (cardinality, index) order.
         """
@@ -202,16 +279,15 @@ class NcdCalculator:
             raise CardinalityLimitError(
                 f"exact distance enumerates 2^{n} subsets; cap is {max_card}"
             )
-        best: float | None = None
-        best_witness: Multiset | None = None
-        for k in range(2, n + 1):
-            for combo in itertools.combinations(range(n), k):
-                sub = Multiset([ms[i] for i in combo])
-                value = self.g_profile(sub).ncd1()
-                if best is None or value > best:
-                    best, best_witness = value, sub
-        assert best is not None
-        return NcdValue(best, "exact", best_witness)
+        subsets = [
+            Multiset([ms[i] for i in combo])
+            for k in range(2, n + 1)
+            for combo in itertools.combinations(range(n), k)
+        ]
+        values = [profile.ncd1() for profile in self.g_profiles(subsets)]
+        # max() keeps the first of equal values: the first maximizing subset.
+        best = max(range(len(values)), key=values.__getitem__)
+        return NcdValue(values[best], "exact", subsets[best])
 
     def ncd_heuristic(self, ms: Multiset) -> HeuristicResult:
         """Greedy lower-bound approximation of the exact distance.

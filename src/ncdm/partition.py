@@ -137,11 +137,9 @@ def _klists_restart(
     i, j = (int(v) for v in rng.choice(n, size=2, replace=False))
     side = [0] * n
     side[j] = 1
-    for k in range(n):
-        if k in (i, j):
-            continue
-        da = calc.ncd_pairwise(ms[k], ms[i]).value
-        db = calc.ncd_pairwise(ms[k], ms[j]).value
+    others = [k for k in range(n) if k not in (i, j)]
+    distances = iter(calc.ncd_pairs([(ms[k], ms[s]) for k in others for s in (i, j)]))
+    for k, da, db in zip(others, distances, distances):
         side[k] = 0 if da <= db else 1
     _repair_min_side(calc, ms, side, (i, j), min_side)
 
@@ -161,30 +159,31 @@ def _klists_restart(
         b = _side_multiset(ms, side, 1)
         sides = {0: a, 1: b}
         counts = {0: len(a), 1: len(b)}
-        ncd1_of = {0: calc.ncd1(a).value, 1: calc.ncd1(b).value}
         # Step 2: does each element prefer the other side? Its own-side score
-        # is measured with the element taken out first, K-means style.
-        candidates: list[tuple[int, float]] = []
+        # is measured with the element taken out first, K-means style. Plan
+        # every ratio the scan reads, then compress them in one map.
+        movers: list[tuple[int, int]] = []
+        wanted = [a, b]
         positions = {0: 0, 1: 0}
         for k in range(n):
             own = side[k]
-            other = 1 - own
             pos = positions[own]
             positions[own] += 1
             if counts[own] <= max(min_side, 2):
                 # the search honors the minimum side size throughout, which
                 # also keeps both ratios well-defined
                 continue
-            own_without = sides[own].remove_at(pos)
-            d_own = ncd1_of[own] - calc.ncd1(own_without).value
-            d_other = delta_ncd1(calc, ms[k], sides[other])
+            movers.append((k, own))
+            wanted += [sides[own].remove_at(pos), sides[1 - own].add(ms[k])]
+        ncd1 = [profile.ncd1() for profile in calc.g_profiles(wanted)]
+        ncd1_of = {0: ncd1[0], 1: ncd1[1]}
+        candidates: list[tuple[int, float]] = []
+        for (k, own), own_without, other_with in zip(movers, ncd1[2::2], ncd1[3::2]):
+            other = 1 - own
+            d_own = ncd1_of[own] - own_without
+            d_other = other_with - ncd1_of[other]
             if d_other < d_own:
-                margin_after = (
-                    ncd1_whole
-                    - calc.ncd1(own_without).value
-                    - calc.ncd1(sides[other].add(ms[k])).value
-                )
-                candidates.append((k, margin_after))
+                candidates.append((k, ncd1_whole - own_without - other_with))
         if not candidates:
             converged = True
             break

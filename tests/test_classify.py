@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ncdm.classify
+import ncdm.ncd
 from ncdm import (
     Bz2Backend,
     CorpusError,
@@ -12,12 +14,10 @@ from ncdm import (
     LabeledCorpus,
     Multiset,
     NcdCalculator,
-    classify_by_delta,
+    TestItem as Item,
+    classify_items,
     delta_ncd1,
-    delta_scores,
     loocv,
-    mean_distance_scores,
-    min_distance_classify,
     wilson_ci,
 )
 
@@ -49,6 +49,10 @@ def two_generator_corpus() -> LabeledCorpus:
 @pytest.fixture(scope="module")
 def calc() -> NcdCalculator:
     return NcdCalculator(Bz2Backend(), jobs=1)
+
+
+def predict(calc, x, classes, method="delta-ncd1") -> str:
+    return classify_items(calc, [(Item(x), classes)], method)[0].predicted
 
 
 # -- wilson_ci ----------------------------------------------------------
@@ -140,14 +144,14 @@ def test_delta_requires_two_members(calc):
 def test_classify_by_delta_recovers_generator(calc, two_generator_corpus):
     vocab_a = make_vocab(1, ALPHABET_A)
     x = Element(text_fragment(random.Random(99), vocab_a), id="query")
-    assert classify_by_delta(calc, x, two_generator_corpus.classes) == "alpha"
+    assert predict(calc, x, two_generator_corpus.classes) == "alpha"
 
 
 def test_classify_training_duplicate_goes_home(calc, two_generator_corpus):
     member = two_generator_corpus.classes["beta"][0]
     x = Element(member.data, id="dup")
-    assert classify_by_delta(calc, x, two_generator_corpus.classes) == "beta"
-    assert min_distance_classify(calc, x, two_generator_corpus.classes) == "beta"
+    assert predict(calc, x, two_generator_corpus.classes) == "beta"
+    assert predict(calc, x, two_generator_corpus.classes, "min-distance") == "beta"
 
 
 def test_classify_tie_breaks_lexicographically(calc):
@@ -157,19 +161,19 @@ def test_classify_tie_breaks_lexicographically(calc):
     classes = {"zed": same, "ann": Multiset(list(same))}
     x = fragment_elements(26, vocab, 1, prefix="x")[0]
     # identical classes produce identical scores; the smaller label wins
-    assert classify_by_delta(calc, x, classes) == "ann"
-    assert min_distance_classify(calc, x, classes) == "ann"
+    assert predict(calc, x, classes) == "ann"
+    assert predict(calc, x, classes, "min-distance") == "ann"
 
 
 def test_min_distance_recovers_generator(calc, two_generator_corpus):
     vocab_b = make_vocab(2, ALPHABET_B)
     x = Element(text_fragment(random.Random(98), vocab_b), id="query")
-    assert min_distance_classify(calc, x, two_generator_corpus.classes) == "beta"
+    assert predict(calc, x, two_generator_corpus.classes, "min-distance") == "beta"
 
 
 def test_empty_class_map_rejected(calc):
     with pytest.raises(CorpusError):
-        classify_by_delta(calc, random_text_element(1, 64, "x"), {})
+        predict(calc, random_text_element(1, 64, "x"), {})
 
 
 # -- loocv ---------------------------------------------------------------
@@ -259,3 +263,79 @@ def test_report_summary_format(calc, two_generator_corpus):
     report = loocv(calc, two_generator_corpus)
     text = report.summary()
     assert "delta-ncd1" in text and "n=16" in text
+
+
+# -- LOOCV as one plan -----------------------------------------------------
+
+
+def reference_loocv_items(calc, classes, method):
+    """A plain fold-by-fold loop over ``ncd1`` and ``ncd_pairwise``."""
+    items = []
+    for label in sorted(classes):
+        ms = classes[label]
+        for idx in range(len(ms)):
+            x = ms[idx]
+            fold = dict(classes)
+            fold[label] = ms.remove_at(idx)
+            scores = {}
+            for other in sorted(fold):
+                klass = fold[other]
+                if method == "delta-ncd1":
+                    scores[other] = calc.ncd1(klass.add(x)).value - calc.ncd1(klass).value
+                else:
+                    scores[other] = sum(calc.ncd_pairwise(x, m).value for m in klass) / len(klass)
+            predicted = min(sorted(scores), key=lambda k: scores[k])
+            items.append((x.id, label, predicted, scores))
+    return items
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("method", ["delta-ncd1", "min-distance"])
+def test_loocv_equals_a_fold_by_fold_loop(two_generator_corpus, method, jobs):
+    classes = dict(two_generator_corpus.classes)
+    # a copy of one member under another id, so folds share requests by key
+    classes["alpha"] = classes["alpha"].add(Element(classes["alpha"][0].data, "copy"))
+    report = loocv(NcdCalculator(ZlibBackend(), jobs=jobs), LabeledCorpus(classes=classes), method)
+    expected = reference_loocv_items(NcdCalculator(ZlibBackend(), jobs=1), classes, method)
+    got = [(i.id, i.true_label, i.predicted, i.scores) for i in report.items]
+    assert got == expected
+    for (_, _, _, got_scores), (_, _, _, want_scores) in zip(got, expected):
+        assert [s.hex() for s in got_scores.values()] == [s.hex() for s in want_scores.values()]
+
+
+def test_loocv_folds_hold_out_exactly_the_item(monkeypatch, calc, two_generator_corpus):
+    batches = []
+    real = ncdm.classify.classify_items
+
+    def recording(calc, cases, method):
+        batches.append(list(cases))
+        return real(calc, cases, method)
+
+    monkeypatch.setattr(ncdm.classify, "classify_items", recording)
+    classes = two_generator_corpus.classes
+    loocv(calc, two_generator_corpus)
+    assert len(batches) == 1
+    folds = batches[0]
+    assert len(folds) == sum(len(ms) for ms in classes.values())
+    for item, fold in folds:
+        assert set(fold) == set(classes)
+        for label, ms in fold.items():
+            assert item.element.id not in ms.ids()
+            short = 1 if label == item.label else 0
+            assert sorted(ms.ids()) == sorted(
+                i for i in classes[label].ids() if i != item.element.id
+            )
+            assert len(ms) == len(classes[label]) - short
+
+
+def test_delta_loocv_is_one_map(monkeypatch, two_generator_corpus):
+    maps = []
+    real = ncdm.ncd.parallel_map
+
+    def counting(fn, items, pool):
+        maps.append(pool)
+        return real(fn, items, pool)
+
+    monkeypatch.setattr(ncdm.ncd, "parallel_map", counting)
+    loocv(NcdCalculator(ZlibBackend(), jobs=2), two_generator_corpus, method="delta-ncd1")
+    assert len(maps) == 1 and maps[0] is not None

@@ -1,6 +1,9 @@
 import bz2
+import os
 import random
 import stat
+import subprocess
+import time
 import zlib
 from pathlib import Path
 
@@ -24,6 +27,8 @@ from ncdm import (
     normality_report,
     serialize_multiset,
 )
+from ncdm import compressor
+from ncdm.cli import main
 from ncdm.compressor import (
     FRAMING_MODES,
     cached_compress_len,
@@ -95,6 +100,31 @@ def test_external_backend_failing_command():
     backend = ExternalBackend(["false"])
     with pytest.raises(BackendUnavailableError, match="status"):
         backend.compress_len(b"data")
+
+
+def test_hung_external_backend_times_out(monkeypatch, tmp_path, capsys):
+    started = []
+    popen = subprocess.Popen
+
+    class Recording(popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    monkeypatch.setattr(compressor, "EXTERNAL_TIMEOUT_S", 0.5)
+    (tmp_path / "a.txt").write_bytes(b"aaaa")
+    (tmp_path / "b.txt").write_bytes(b"bbbb")
+    t0 = time.monotonic()
+    code = main(["pair", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"),
+                 "--backend", "cmd:sleep 30", "--jobs", "1"])
+    assert code == 1
+    assert time.monotonic() - t0 < 5
+    assert "no answer within 0.5 s" in capsys.readouterr().err
+    assert len(started) == 1
+    assert started[0].returncode is not None  # killed and reaped
+    with pytest.raises(ProcessLookupError):
+        os.kill(started[0].pid, 0)
 
 
 def test_external_backend_empty_output_rejected():

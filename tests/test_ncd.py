@@ -21,6 +21,7 @@ from ncdm import (
     SizeCache,
     ZlibBackend,
 )
+import ncdm.ncd
 from ncdm import compressor
 from ncdm.compressor import serialize_multiset
 from ncdm.ncd import DEFAULT_EPSILON
@@ -179,6 +180,43 @@ def test_ncd1_requires_two(bz2_calc):
         bz2_calc.ncd1(Multiset([random_text_element(1, 64, "x")]))
 
 
+pooled_texts = st.lists(
+    st.text(alphabet="abcdefg ", min_size=1, max_size=40), min_size=2, max_size=4, unique=True
+)
+
+
+@given(pooled_texts, st.data(), st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_g_profiles_equal_one_profile_at_a_time(texts, data, jobs):
+    # copies of one text under other ids, and repeated multisets in the list
+    pool = [Element(t.encode(), f"{copy}{i}") for i, t in enumerate(texts) for copy in "ab"]
+    subsets = st.lists(st.sampled_from(pool), min_size=2, max_size=5, unique_by=lambda e: e.id)
+    multisets = [Multiset(m) for m in data.draw(st.lists(subsets, min_size=1, max_size=6))]
+    multisets += data.draw(st.lists(st.sampled_from(multisets), max_size=3))
+    batch = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
+    single = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
+    assert batch.g_profiles(multisets) == [single.g_profile(ms) for ms in multisets]
+    assert batch.cache.job_count == single.cache.job_count
+
+
+def test_g_profiles_ask_longest_first(monkeypatch):
+    asked = []
+    real = ncdm.ncd.parallel_map
+
+    def recording(fn, items, pool):
+        items = list(items)
+        asked.append([len(serialize_multiset(ms)) for _key, ms in items])
+        return real(fn, items, pool)
+
+    monkeypatch.setattr(ncdm.ncd, "parallel_map", recording)
+    ms = mixed_multiset(30, 5)
+    NcdCalculator(ZlibBackend(), jobs=2).g_profiles([ms.remove_at(0), ms])
+    # one map over the 11 requests of ms and the 4 three-element leave-one-outs
+    # of ms minus its first element, whose other requests ms already made
+    assert len(asked) == 1 and len(asked[0]) == 15
+    assert asked[0] == sorted(asked[0], reverse=True)
+
+
 # -- ncd_exact against the oracle ---------------------------------------
 
 
@@ -207,6 +245,31 @@ def test_exact_subset_monotone(bz2_calc):
 def test_exact_cardinality_zero_one_is_zero(bz2_calc):
     assert bz2_calc.ncd_exact(Multiset()).value == 0.0
     assert bz2_calc.ncd_exact(Multiset([random_text_element(1, 64, "x")])).value == 0.0
+
+
+def test_exact_is_one_map_with_the_serial_answer(monkeypatch):
+    maps = []
+    real = ncdm.ncd.parallel_map
+
+    def counting(fn, items, pool):
+        maps.append(pool)
+        return real(fn, items, pool)
+
+    ms = mixed_multiset(7, 6)
+    reference = NcdCalculator(ZlibBackend(), jobs=1)
+    best, witness = None, None
+    for k in range(2, len(ms) + 1):
+        for combo in itertools.combinations(range(len(ms)), k):
+            sub = Multiset([ms[i] for i in combo])
+            value = reference.ncd1(sub).value
+            if best is None or value > best:
+                best, witness = value, sub
+    monkeypatch.setattr(ncdm.ncd, "parallel_map", counting)
+    calc = NcdCalculator(ZlibBackend(), jobs=2)
+    got = calc.ncd_exact(ms)
+    assert len(maps) == 1 and maps[0] is not None
+    assert (got.value, got.witness) == (best, witness)
+    assert calc.cache.job_count == reference.cache.job_count
 
 
 def test_exact_cap_enforced(bz2_calc):
@@ -418,6 +481,30 @@ def test_matrix_csv_layout(bz2_calc):
     lines = csv_text.strip().split("\n")
     assert len(lines) == 4  # header + 3 rows
     assert lines[0] == ",".join(e.id for e in elements)
+
+
+# -- permutation invariance ----------------------------------------------
+
+
+@given(
+    st.lists(st.text(alphabet="abcdefg ", min_size=1, max_size=40), min_size=2, max_size=6),
+    st.randoms(use_true_random=False),
+)
+@settings(max_examples=40, deadline=None)
+def test_ncd1_heuristic_and_exact_are_permutation_invariant(texts, rng):
+    elements = [Element(t.encode(), f"e{i}") for i, t in enumerate(texts)]
+    shuffled = elements[:]
+    rng.shuffle(shuffled)
+    answers = []
+    for order in (elements, shuffled):
+        calc = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=1)
+        ms = Multiset(order)
+        answers.append(
+            (calc.ncd1(ms).value, calc.ncd_heuristic(ms).ncd.value, calc.ncd_exact(ms).value)
+        )
+    assert answers[0] == answers[1]
+    _ncd1, heuristic, exact = answers[0]
+    assert heuristic <= exact
 
 
 # -- cache sharing and determinism ---------------------------------------

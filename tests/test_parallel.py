@@ -1,6 +1,7 @@
 """The calculator's worker pool: built once per calculator, released with it,
 and never the cause of a different answer."""
 
+import sys
 import threading
 import time
 
@@ -21,6 +22,7 @@ from ncdm import (
     loocv,
 )
 from ncdm.cli import main
+from ncdm.parallel import parallel_map, worker_pool
 
 from .conftest import ALPHABET_A, ALPHABET_B, phrase_class, random_text_element
 
@@ -106,3 +108,52 @@ def test_jobs_do_not_change_any_answer(texts):
             )
         )
     assert runs[0] == runs[1]
+
+
+def test_map_holds_one_task_per_worker_and_keeps_order():
+    submitted = []
+
+    class CountingPool(ncdm.parallel.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            submitted.append(args)
+            return super().submit(*args, **kwargs)
+
+    calls = []
+
+    def task(i):
+        calls.append(i)  # list.append is atomic
+        time.sleep(0)
+        return i * i
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    pool = CountingPool(max_workers=8)
+    try:
+        started = time.monotonic()
+        assert parallel_map(task, range(3000), pool) == [i * i for i in range(3000)]
+        assert time.monotonic() - started < 30
+    finally:
+        sys.setswitchinterval(interval)
+        pool.shutdown()
+    assert len(submitted) == 8
+    assert sorted(calls) == list(range(3000))
+
+
+def test_map_raises_the_earliest_failure_and_stops_starting_items():
+    started = []
+
+    def task(i):
+        started.append(i)
+        if i in (40, 300):
+            raise ValueError(i)
+        time.sleep(0.001)
+        return i
+
+    pool = worker_pool(4)
+    try:
+        with pytest.raises(ValueError) as info:
+            parallel_map(task, range(1000), pool)
+    finally:
+        pool.shutdown()
+    assert info.value.args == (40,)
+    assert 300 not in started and len(started) < 100

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+import ncdm.compressor
+import ncdm.ncd
 from ncdm import (
     DegenerateInputError,
     Element,
@@ -137,6 +139,31 @@ def test_klists_deterministic_under_seed_and_jobs(planted):
     assert r1.a.ids() == r2.a.ids()
     assert r1.b.ids() == r2.b.ids()
     assert r1.margin.value == r2.margin.value
+
+
+def test_klists_iteration_is_one_map(monkeypatch, planted):
+    maps, calls = [], []
+    real_map, real_compress = ncdm.ncd.parallel_map, ncdm.compressor.compress_len
+
+    def counting_map(fn, items, pool):
+        maps.append(pool)
+        return real_map(fn, items, pool)
+
+    def counting_compress(backend, data):
+        calls.append(len(data))
+        return real_compress(backend, data)
+
+    monkeypatch.setattr(ncdm.ncd, "parallel_map", counting_map)
+    monkeypatch.setattr(ncdm.compressor, "compress_len", counting_compress)
+    a, b = planted
+    calc = NcdCalculator(ZlibBackend(), jobs=2)
+    result = klists_split(calc, Multiset(a + b), PartitionConfig(restarts=3, min_size=6, seed=5))
+    # ncd1 of the whole set, then per restart: one map for the seed distances,
+    # two for the starting margin and one per iteration; then the three
+    # ratios of the chosen margin
+    iterations = sum(r.iterations for r in result.restarts)
+    assert len(maps) == 1 + 3 * 3 + iterations + 3
+    assert len(calls) == calc.cache.job_count
 
 
 def test_klists_rejects_undersized_input(calc):
