@@ -116,9 +116,7 @@ def wilson_ci(p_hat: float, n: int, level: float = 0.95) -> tuple[float, float]:
 
 def delta_ncd1(calc: NcdCalculator, x: Element, klass: Multiset) -> float:
     """Change of the un-maximized distance when one occurrence of x joins the class."""
-    if len(klass) < 2:
-        raise DegenerateInputError(f"class needs >= 2 members, got {len(klass)}")
-    return calc.ncd1(klass.add(x)).value - calc.ncd1(klass).value
+    return delta_scores(calc, x, {"": klass})[""]
 
 
 Case = tuple[TestItem, Mapping[str, Multiset]]

@@ -1,9 +1,11 @@
 """Command-line interface.
 
 Every subcommand prints one JSON report to stdout and a one-line human
-summary to stderr. Exit codes: 0 on success, 1 on degenerate-input errors,
-2 on usage errors. ``--jobs`` bounds the worker pool and can only change
-wall time, so it is not echoed into reports.
+summary to stderr. Exit codes: 0 on success; 1 on degenerate input or a
+malformed data file (``error: ...``); 2 on a usage error (``usage error:
+...``), such as a missing input or a bad flag value, which is refused before
+any work. ``--jobs`` bounds the worker pool and can only change wall time,
+so it is not echoed into reports.
 
 A ``--cache`` snapshot starts with the line ``# ncdm-sizes v2 BACKEND``
 followed by one ``sha256-hex<TAB>size`` record per line. A record's digest is
@@ -23,14 +25,16 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
 from .classify import METHODS, TestItem, classify_items, loocv
 from .compressor import CompressorBackend, SizeCache, get_backend, normality_report
 from .datagen import CellModelParams, simulate_population, write_population
-from .errors import NcdmError
+from .errors import CorpusError, NcdmError
 from .ingest import (
+    MAX_SYMBOLS,
     QuantizerConfig,
     fit_quantizer,
     image_to_bitstream,
@@ -49,7 +53,16 @@ BACKEND_ENV = "NCDM_BACKEND"
 
 
 class UsageError(Exception):
-    """Bad paths or flag combinations; maps to exit status 2."""
+    """Bad paths, flag values or flag combinations; maps to exit status 2."""
+
+
+@contextmanager
+def _reraise(error: type[Exception], caught: type[Exception] | tuple = ValueError):
+    """Re-raise a library error (a bad flag value or data file) as ``error``."""
+    try:
+        yield
+    except caught as exc:
+        raise error(str(exc)) from exc
 
 
 def _require_file(path: str) -> Path:
@@ -112,11 +125,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _backend(args: argparse.Namespace) -> CompressorBackend:
-    spec = args.backend or os.environ.get(BACKEND_ENV) or "bz2"
-    try:
-        return get_backend(spec)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with _reraise(UsageError):
+        return get_backend(args.backend or os.environ.get(BACKEND_ENV) or "bz2")
 
 
 def _with_calc(handler):
@@ -129,10 +139,8 @@ def _with_calc(handler):
         if snapshot is not None and (snapshot.is_dir() or not snapshot.parent.is_dir()):
             raise UsageError(f"--cache {snapshot} is a directory or lies in a missing one")
         if snapshot is not None and snapshot.is_file():
-            try:
+            with _reraise(UsageError, (OSError, ValueError)):
                 cache.load(snapshot, backend.name)
-            except (OSError, ValueError) as exc:
-                raise UsageError(str(exc)) from exc
         result = handler(args, NcdCalculator(backend, mode=args.framing, cache=cache, jobs=args.jobs))
         if snapshot is not None:
             try:
@@ -261,13 +269,16 @@ def _cmd_loocv(args, calc: NcdCalculator) -> tuple[dict, str]:
 
 
 def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, str]:
+    with _reraise(UsageError):
+        cfg = PartitionConfig(
+            restarts=args.restarts,
+            max_iters=args.max_iters,
+            min_size=_parse_min_size(args.min_size),
+            seed=args.seed,
+        )
+    if args.item and args.k < 1:
+        raise UsageError("-k must be >= 1")
     classes = load_corpus(_require_dir(args.classes)).classes
-    cfg = PartitionConfig(
-        restarts=args.restarts,
-        max_iters=args.max_iters,
-        min_size=_parse_min_size(args.min_size),
-        seed=args.seed,
-    )
     tree = recursive_partition(calc, classes, cfg, stop_margin=args.stop_margin)
     payload = tree.to_dict()
     payload["partition_config"] = payload.pop("config")  # keep the CLI echo separate
@@ -284,13 +295,14 @@ def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, str]:
 
 
 def _cmd_gen_synthetic(args) -> tuple[dict, str]:
-    params = CellModelParams(
-        upsilon=args.upsilon,
-        population_limit=args.population_limit,
-        track_len_range=tuple(args.track_len),
-        seed=args.seed,
-    )
-    tracks = simulate_population(params, args.cells)
+    with _reraise(UsageError):
+        params = CellModelParams(
+            upsilon=args.upsilon,
+            population_limit=args.population_limit,
+            track_len_range=tuple(args.track_len),
+            seed=args.seed,
+        )
+        tracks = simulate_population(params, args.cells)  # checks its arguments first
     manifest = write_population(tracks, args.out, params)
     report = {"command": "gen-synthetic", "out": str(args.out), **manifest}
     return report, f"wrote {len(tracks)} cell tracks to {args.out}"
@@ -299,14 +311,15 @@ def _cmd_gen_synthetic(args) -> tuple[dict, str]:
 def _cmd_compressor_check(args) -> tuple[dict, str]:
     backend = _backend(args)
     corpus = _gather_elements([args.corpus])
-    result = normality_report(
-        backend,
-        corpus,
-        tolerance=args.tolerance,
-        max_pairs=args.max_pairs,
-        seed=args.seed,
-        mode=args.framing,
-    )
+    with _reraise(UsageError):
+        result = normality_report(
+            backend,
+            corpus,
+            tolerance=args.tolerance,
+            max_pairs=args.max_pairs,
+            seed=args.seed,
+            mode=args.framing,
+        )
     report = {
         "command": "compressor-check",
         "config": {"backend": backend.name, "framing": args.framing, "seed": args.seed},
@@ -317,6 +330,9 @@ def _cmd_compressor_check(args) -> tuple[dict, str]:
 
 
 def _cmd_quantize(args) -> tuple[dict, str]:
+    if not args.config and not 2 <= args.symbols <= MAX_SYMBOLS:
+        raise UsageError(f"--symbols must be in [2, {MAX_SYMBOLS}], got {args.symbols}")
+    config = _require_file(args.config) if args.config else None
     paths: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
@@ -326,16 +342,17 @@ def _cmd_quantize(args) -> tuple[dict, str]:
             paths.append(_require_file(raw))
     if not paths:
         raise UsageError("no CSV inputs found")
-    series = [read_timeseries_csv(p) for p in paths]
-    if args.config:
-        quantizer = QuantizerConfig.from_json(Path(args.config).read_text())
-    else:
-        quantizer = fit_quantizer(series, args.symbols)
+    with _reraise(CorpusError):
+        series = [read_timeseries_csv(p) for p in paths]
+        if config:
+            quantizer = QuantizerConfig.from_json(config.read_text())
+        else:
+            quantizer = fit_quantizer(series, args.symbols)
+        elements = [quantize_timeseries(ts, quantizer=quantizer) for ts in series]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for ts in series:
-        element = quantize_timeseries(ts, quantizer=quantizer)
+    for ts, element in zip(series, elements):
         target = out_dir / (Path(ts.name).stem + ".sym")
         target.write_bytes(element.data)
         written.append(str(target))
@@ -353,18 +370,22 @@ def _cmd_quantize(args) -> tuple[dict, str]:
 
 
 def _cmd_image2bits(args) -> tuple[dict, str]:
+    if args.scale < 1:
+        raise UsageError("--scale must be >= 1")
     images = []
-    if args.idx:
-        images.extend(read_idx_images(_require_file(args.idx), limit=args.limit))
-    for raw in args.inputs:
-        images.append(read_pgm(_require_file(raw)))
+    with _reraise(CorpusError):
+        if args.idx:
+            images.extend(read_idx_images(_require_file(args.idx), limit=args.limit))
+        for raw in args.inputs:
+            images.append(read_pgm(_require_file(raw)))
     if not images:
         raise UsageError("no images given; pass PGM files or --idx")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for img in images:
-        element = image_to_bitstream(img, scale=args.scale)
+        with _reraise(CorpusError):  # an image with no pixels
+            element = image_to_bitstream(img, scale=args.scale)
         target = out_dir / (Path(img.name).stem + ".bits")
         target.write_bytes(element.data)
         written.append({"file": str(target), "length": len(element.data)})

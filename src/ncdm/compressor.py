@@ -435,6 +435,8 @@ def normality_report(
     """
     if not corpus:
         raise ValueError("normality check needs a non-empty corpus")
+    if max_pairs < 0:
+        raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
     if tolerance is None:
         tol_fn: Callable[[int], int] = default_tolerance
     elif callable(tolerance):

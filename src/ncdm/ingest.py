@@ -60,11 +60,16 @@ class QuantizerConfig:
     @classmethod
     def from_json(cls, text: str) -> "QuantizerConfig":
         raw = json.loads(text)
-        return cls(
-            n_symbols=int(raw["n_symbols"]),
-            edges=tuple(tuple(float(v) for v in e) for e in raw["edges"]),
-            feature_names=tuple(raw.get("feature_names", ())),
-        )
+        try:
+            return cls(
+                n_symbols=int(raw["n_symbols"]),
+                edges=tuple(tuple(float(v) for v in e) for e in raw["edges"]),
+                feature_names=tuple(raw.get("feature_names", ())),
+            )
+        except KeyError as exc:
+            raise ValueError(f"quantizer config has no {exc} field") from None
+        except TypeError as exc:
+            raise ValueError(f"quantizer config is malformed: {exc}") from None
 
 
 def _as_matrix(values: np.ndarray) -> np.ndarray:

@@ -8,12 +8,12 @@ special case.
 
 Every operation first plans its compressed sizes, then scores from them. A
 plan is the list of distinct size requests it needs, deduped by request key
-as they are generated; ``NcdCalculator`` runs each plan as one map over its
+as they are generated; ``NcdCalculator._run`` runs it as one map over the
 worker pool, longest serialization first, so no worker idles behind a long
-request at the tail. ``g_profiles`` plans the whole multiset, leave-one-outs
-and singletons of a whole batch of multisets at once, which is how the exact
-distance, the classifiers, LOOCV and K-Lists ask for their sizes: a whole
-LOOCV, or a whole ``classify`` batch, compresses in one map.
+request at the tail. Every size but the checkpointed matrix rows comes from
+a plan, down to ``g`` and ``ncd_pairwise``. ``g_profiles`` plans the whole
+multiset, leave-one-outs and singletons of a batch of multisets: a whole
+LOOCV, ``classify`` batch, K-Lists iteration or set of margins is one map.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ class NcdCalculator:
         """Compressed size of the serialized multiset."""
         if len(ms) == 0:
             raise DegenerateInputError("an empty multiset has no compressed size")
-        return self._size((request_key(ms, self.mode), ms))
+        return self._sizes([ms])[0]
 
     def _size(self, request: tuple[bytes, Multiset]) -> int:
         key, ms = request
@@ -254,8 +254,7 @@ class NcdCalculator:
         return NcdValue(self.g_profile(ms).ncd1(), "ncd1")
 
     def ncd_pairwise(self, x: Element, y: Element) -> NcdValue:
-        gx, gy = self.g(Multiset([x])), self.g(Multiset([y]))
-        return NcdValue(_pairwise(gx, gy, self.g(Multiset([x, y]))), "pairwise")
+        return NcdValue(self.ncd_pairs([(x, y)])[0], "pairwise")
 
     def ncd_pairs(self, pairs: Sequence[tuple[Element, Element]]) -> list[float]:
         """``ncd_pairwise(x, y).value`` of each pair, from one map over every singleton and pair."""

@@ -6,18 +6,23 @@ K-means mold, except the "representative" of a side is the side itself, so
 only a single element may switch sides per iteration to prevent groups of
 elements chasing each other back and forth. Classes are split recursively
 while the best split is separated by more than the inter-class margin.
+
+Partitioning plans, then scores, like every ``NcdCalculator`` operation: a
+restart's seed distances, each iteration's candidate moves, the margins of
+all class pairs and an item's deltas to every leaf are one map each.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import delta_ncd1
+from .classify import delta_scores
 from .errors import DegenerateInputError
 from .multiset import Element, Multiset
 from .ncd import NcdCalculator
@@ -35,15 +40,20 @@ class Margin:
     ncd1_b: float
 
 
+def _margins(calc: NcdCalculator, pairs: Sequence[tuple[Multiset, Multiset]]) -> list[Margin]:
+    """The margin of each pair ``(a, b)``, from one plan over every union and side."""
+    for a, b in pairs:
+        if len(a) < 2 or len(b) < 2:
+            raise DegenerateInputError(
+                f"margin needs >= 2 members per side, got {len(a)} and {len(b)}"
+            )
+    wanted = [ms for a, b in pairs for ms in (a.union(b), a, b)]
+    ratios = iter([profile.ncd1() for profile in calc.g_profiles(wanted)])
+    return [Margin(union - va - vb, union, va, vb) for union, va, vb in zip(ratios, ratios, ratios)]
+
+
 def margin(calc: NcdCalculator, a: Multiset, b: Multiset) -> Margin:
-    if len(a) < 2 or len(b) < 2:
-        raise DegenerateInputError(
-            f"margin needs >= 2 members per side, got {len(a)} and {len(b)}"
-        )
-    union = calc.ncd1(a.union(b)).value
-    va = calc.ncd1(a).value
-    vb = calc.ncd1(b).value
-    return Margin(union - va - vb, union, va, vb)
+    return _margins(calc, [(a, b)])[0]
 
 
 @dataclass(frozen=True)
@@ -99,8 +109,7 @@ def _side_multiset(ms: Multiset, side: list[int], which: int) -> Multiset:
 
 
 def _repair_min_side(
-    calc: NcdCalculator,
-    ms: Multiset,
+    seed_distance: dict[tuple[int, int], float],
     side: list[int],
     seed_idx: tuple[int, int],
     min_side: int,
@@ -108,20 +117,17 @@ def _repair_min_side(
     # A random start can leave a side below the minimum (down to the lone
     # seed, when the other seed attracts everything). The search keeps sides
     # legal throughout, so top a starved side up with whichever foreign
-    # non-seed elements sit closest to its seed.
-    floor = max(2, min(min_side, len(ms) - min_side))
+    # non-seed elements sit closest to its seed. Seeds never move, so every
+    # candidate's distance to either seed is in ``seed_distance``.
+    floor = max(2, min(min_side, len(side) - min_side))
     for which in (0, 1):
         while sum(1 for s in side if s == which) < floor:
-            seed_el = ms[seed_idx[which]]
             candidates = [
                 i
-                for i in range(len(ms))
+                for i in range(len(side))
                 if side[i] != which and i != seed_idx[1 - which]
             ]
-            best = min(
-                candidates,
-                key=lambda i: (calc.ncd_pairwise(ms[i], seed_el).value, i),
-            )
+            best = min(candidates, key=lambda i: (seed_distance[i, seed_idx[which]], i))
             side[best] = which
 
 
@@ -138,50 +144,39 @@ def _klists_restart(
     side = [0] * n
     side[j] = 1
     others = [k for k in range(n) if k not in (i, j)]
-    distances = iter(calc.ncd_pairs([(ms[k], ms[s]) for k in others for s in (i, j)]))
-    for k, da, db in zip(others, distances, distances):
-        side[k] = 0 if da <= db else 1
-    _repair_min_side(calc, ms, side, (i, j), min_side)
+    seeded = [(k, s) for k in others for s in (i, j)]
+    seed_distance = dict(zip(seeded, calc.ncd_pairs([(ms[k], ms[s]) for k, s in seeded])))
+    for k in others:
+        side[k] = 0 if seed_distance[k, i] <= seed_distance[k, j] else 1
+    _repair_min_side(seed_distance, side, (i, j), min_side)
 
-    def current_margin() -> float:
-        return (
-            ncd1_whole
-            - calc.ncd1(_side_multiset(ms, side, 0)).value
-            - calc.ncd1(_side_multiset(ms, side, 1)).value
-        )
-
-    cur_margin = current_margin()
-    iterations = 0
     converged = False
-    for _ in range(cfg.max_iters):
-        iterations += 1
-        a = _side_multiset(ms, side, 0)
-        b = _side_multiset(ms, side, 1)
-        sides = {0: a, 1: b}
-        counts = {0: len(a), 1: len(b)}
+    # cfg.max_iters >= 1, so the first iteration always runs and sets cur_margin
+    for iterations in range(1, cfg.max_iters + 1):
+        sides = [_side_multiset(ms, side, 0), _side_multiset(ms, side, 1)]
         # Step 2: does each element prefer the other side? Its own-side score
         # is measured with the element taken out first, K-means style. Plan
         # every ratio the scan reads, then compress them in one map.
         movers: list[tuple[int, int]] = []
-        wanted = [a, b]
-        positions = {0: 0, 1: 0}
+        wanted = list(sides)
+        positions = [0, 0]
         for k in range(n):
             own = side[k]
             pos = positions[own]
             positions[own] += 1
-            if counts[own] <= max(min_side, 2):
+            if len(sides[own]) <= max(min_side, 2):
                 # the search honors the minimum side size throughout, which
                 # also keeps both ratios well-defined
                 continue
             movers.append((k, own))
             wanted += [sides[own].remove_at(pos), sides[1 - own].add(ms[k])]
         ncd1 = [profile.ncd1() for profile in calc.g_profiles(wanted)]
-        ncd1_of = {0: ncd1[0], 1: ncd1[1]}
+        if iterations == 1:
+            cur_margin = ncd1_whole - ncd1[0] - ncd1[1]
         candidates: list[tuple[int, float]] = []
         for (k, own), own_without, other_with in zip(movers, ncd1[2::2], ncd1[3::2]):
-            other = 1 - own
-            d_own = ncd1_of[own] - own_without
-            d_other = other_with - ncd1_of[other]
+            d_own = ncd1[own] - own_without
+            d_other = other_with - ncd1[1 - own]
             if d_other < d_own:
                 candidates.append((k, ncd1_whole - own_without - other_with))
         if not candidates:
@@ -195,13 +190,8 @@ def _klists_restart(
             break
         side[best_k] = 1 - side[best_k]
         cur_margin = best_margin
-    return RestartOutcome(
-        a=_side_multiset(ms, side, 0),
-        b=_side_multiset(ms, side, 1),
-        margin=cur_margin,
-        iterations=iterations,
-        converged=converged,
-    )
+    a, b = _side_multiset(ms, side, 0), _side_multiset(ms, side, 1)
+    return RestartOutcome(a, b, cur_margin, iterations, converged)
 
 
 def klists_split(calc: NcdCalculator, ms: Multiset, cfg: PartitionConfig) -> SplitResult:
@@ -224,12 +214,7 @@ def klists_split(calc: NcdCalculator, ms: Multiset, cfg: PartitionConfig) -> Spl
     ]
     best = max(range(len(outcomes)), key=lambda i: (outcomes[i].margin, -i))
     chosen = outcomes[best]
-    return SplitResult(
-        a=chosen.a,
-        b=chosen.b,
-        margin=margin(calc, chosen.a, chosen.b),
-        restarts=tuple(outcomes),
-    )
+    return SplitResult(chosen.a, chosen.b, margin(calc, chosen.a, chosen.b), tuple(outcomes))
 
 
 @dataclass
@@ -240,12 +225,7 @@ class PartitionNode:
     accepted: bool = False
 
     def leaves(self) -> list["PartitionNode"]:
-        if not self.children:
-            return [self]
-        out: list[PartitionNode] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return out
+        return [leaf for child in self.children for leaf in child.leaves()] or [self]
 
     def to_dict(self) -> dict:
         return {
@@ -269,12 +249,7 @@ class PartitionTree:
         return {
             "stop_margin": self.stop_margin,
             "rng": RNG_NAME,
-            "config": {
-                "restarts": self.config.restarts,
-                "max_iters": self.config.max_iters,
-                "min_size": self.config.min_size,
-                "seed": self.config.seed,
-            },
+            "config": dataclasses.asdict(self.config),
             "classes": {label: node.to_dict() for label, node in self.roots.items()},
         }
 
@@ -284,18 +259,12 @@ def _node_seed(base_seed: int, class_index: int, node_index: int) -> int:
     return int(seq.generate_state(1)[0])
 
 
-def min_inter_class_margin(
-    calc: NcdCalculator, classes: Mapping[str, Multiset]
-) -> float:
+def min_inter_class_margin(calc: NcdCalculator, classes: Mapping[str, Multiset]) -> float:
     """Smallest margin over all unordered pairs of classes."""
-    labels = sorted(classes)
-    if len(labels) < 2:
+    if len(classes) < 2:
         raise DegenerateInputError("need >= 2 classes to measure separation")
-    values = []
-    for i in range(len(labels)):
-        for j in range(i + 1, len(labels)):
-            values.append(margin(calc, classes[labels[i]], classes[labels[j]]).value)
-    return min(values)
+    pairs = itertools.combinations(sorted(classes), 2)
+    return min(m.value for m in _margins(calc, [(classes[x], classes[y]) for x, y in pairs]))
 
 
 def recursive_partition(
@@ -356,10 +325,15 @@ def min_class_distances(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    out: dict[str, list[float]] = {}
-    for label in sorted(tree.roots):
-        deltas = sorted(
-            delta_ncd1(calc, x, leaf.members) for leaf in tree.leaves(label)
-        )
-        out[label] = deltas[:k]
-    return out
+    if not tree.roots:
+        return {}
+    leaves = {
+        (label, i): leaf.members
+        for label in tree.roots
+        for i, leaf in enumerate(tree.leaves(label))
+    }
+    deltas = delta_scores(calc, x, leaves)
+    return {
+        label: sorted(d for (owner, _), d in deltas.items() if owner == label)[:k]
+        for label in sorted(tree.roots)
+    }

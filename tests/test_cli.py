@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+import ncdm.compressor
 from ncdm import NcdCalculator
 from ncdm.cli import main
 
@@ -416,3 +417,126 @@ def test_bad_cache_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch
     assert "usage error" in err and str(cache) in err
     assert built == []  # refused before any work
     assert not (tmp_path / "missing").exists()
+
+
+# -- bad flag values and malformed data files ----------------------------------
+
+
+def _count_compressions(monkeypatch) -> list[int]:
+    calls = []
+    real = ncdm.compressor.compress_len
+
+    def counting(backend, data):
+        calls.append(len(data))
+        return real(backend, data)
+
+    monkeypatch.setattr(ncdm.compressor, "compress_len", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--min-size", "abc"],
+        ["--min-size", "1"],
+        ["--min-size", "0%"],
+        ["--min-size", "150%"],
+        ["--restarts", "0"],
+        ["--max-iters", "0"],
+        ["-k", "0", "--item", "ITEM"],
+    ],
+    ids=["min-size-abc", "min-size-1", "min-size-0%", "min-size-150%", "restarts-0", "max-iters-0", "k-0"],
+)
+def test_partition_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, flags):
+    root = write_class_dirs(tmp_path, per_class=4, n_words=40)
+    item = tmp_path / "item.txt"
+    item.write_bytes(b"an item to score " * 10)
+    calls = _count_compressions(monkeypatch)
+    flags = [str(item) if f == "ITEM" else f for f in flags]
+    code, report, err = run(capsys, "partition", "--classes", str(root), "--backend", "zlib", *flags)
+    assert code == 2 and report is None
+    assert err.startswith("usage error:")
+    assert calls == []
+
+
+@pytest.mark.parametrize("flags", [["--upsilon", "-1"], ["--cells", "0"]], ids=["upsilon", "cells"])
+def test_gen_synthetic_bad_flag_is_a_usage_error(tmp_path, capsys, flags):
+    out = tmp_path / "cells"
+    argv = ["gen-synthetic", "--upsilon", "3", "--cells", "4", "--out", str(out), *flags]
+    code, report, err = run(capsys, *argv)
+    assert code == 2 and report is None
+    assert err.startswith("usage error:")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--max-pairs", "-1"]], ids=["max-pairs"])
+def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
+    tmp_path, capsys, monkeypatch, flags
+):
+    d = tmp_path / "corpus"
+    d.mkdir()
+    for i in range(3):
+        (d / f"c{i}.txt").write_bytes(f"sample {i} ".encode() * 20)
+    calls = _count_compressions(monkeypatch)
+    code, report, err = run(capsys, "compressor-check", str(d), "--backend", "zlib", *flags)
+    assert code == 2 and report is None
+    assert err.startswith("usage error:")
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [
+        ("symbols-1", 2),
+        ("missing-config", 2),
+        ("config-without-n_symbols", 1),
+        ("config-not-an-object", 1),
+        ("csv-with-a-word", 1),
+    ],
+)
+def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
+    csv = tmp_path / "s.csv"
+    csv.write_text("f0,f1\n0.5,1.5\n2.5,3.5\n" + ("abc,1.0\n" if case == "csv-with-a-word" else ""))
+    config = tmp_path / "quant.json"
+    if case == "config-without-n_symbols":
+        config.write_text(json.dumps({"edges": [[1.0], [2.0]]}))
+    if case == "config-not-an-object":
+        config.write_text("[4, [[1.0], [2.0]]]")
+    flags = {
+        "symbols-1": ["--symbols", "1"],
+        "missing-config": ["--config", str(tmp_path / "nope.json")],
+        "config-without-n_symbols": ["--config", str(config)],
+        "config-not-an-object": ["--config", str(config)],
+        "csv-with-a-word": [],
+    }[case]
+    out = tmp_path / "symbols"
+    code, report, err = run(capsys, "quantize", str(csv), "--out", str(out), *flags)
+    assert code == expected and report is None
+    assert err.startswith("usage error:" if expected == 2 else "error:")
+    if case == "config-without-n_symbols":
+        assert "n_symbols" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "case, expected",
+    [("scale-0", 2), ("truncated-pgm", 1), ("empty-pgm", 1), ("idx-bad-magic", 1)],
+)
+def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
+    pgm = tmp_path / "img.pgm"
+    pixels = bytes(range(64)) if case != "truncated-pgm" else bytes(range(40))
+    pgm.write_bytes(b"P5\n0 0\n255\n" if case == "empty-pgm" else b"P5\n8 8\n255\n" + pixels)
+    idx = tmp_path / "digits.idx"
+    idx.write_bytes(b"\x00\x00\x08\x01" + (1).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + b"\x00" * 4)
+    flags = {
+        "scale-0": [str(pgm), "--scale", "0"],
+        "truncated-pgm": [str(pgm)],
+        "empty-pgm": [str(pgm)],
+        "idx-bad-magic": ["--idx", str(idx)],
+    }[case]
+    out = tmp_path / "bits"
+    code, report, err = run(capsys, "image2bits", "--out", str(out), *flags)
+    assert code == expected and report is None
+    assert err.startswith("usage error:" if expected == 2 else "error:")
+    if case != "empty-pgm":  # an image with no pixels is found while converting
+        assert not out.exists()

@@ -126,6 +126,15 @@ def test_quantizer_validation():
         quantize_timeseries(ts, n_symbols=8, quantizer=q)  # disagreeing n
 
 
+def test_quantizer_config_names_a_missing_field():
+    with pytest.raises(ValueError, match="n_symbols"):
+        QuantizerConfig.from_json('{"edges": [[0.0]]}')
+    with pytest.raises(ValueError, match="edges"):
+        QuantizerConfig.from_json('{"n_symbols": 2}')
+    with pytest.raises(ValueError, match="malformed"):
+        QuantizerConfig.from_json("[2, 3]")
+
+
 # -- Otsu -------------------------------------------------------------------
 
 

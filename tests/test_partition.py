@@ -5,12 +5,14 @@ import pytest
 
 import ncdm.compressor
 import ncdm.ncd
+import ncdm.partition
 from ncdm import (
     DegenerateInputError,
     Element,
     Multiset,
     NcdCalculator,
     PartitionConfig,
+    PartitionTree,
     ZlibBackend,
     klists_split,
     margin,
@@ -18,7 +20,7 @@ from ncdm import (
     min_inter_class_margin,
     recursive_partition,
 )
-from ncdm.partition import resolve_min_size
+from ncdm.partition import PartitionNode, resolve_min_size
 
 from .conftest import (
     ALPHABET_A,
@@ -158,11 +160,11 @@ def test_klists_iteration_is_one_map(monkeypatch, planted):
     a, b = planted
     calc = NcdCalculator(ZlibBackend(), jobs=2)
     result = klists_split(calc, Multiset(a + b), PartitionConfig(restarts=3, min_size=6, seed=5))
-    # ncd1 of the whole set, then per restart: one map for the seed distances,
-    # two for the starting margin and one per iteration; then the three
-    # ratios of the chosen margin
+    # ncd1 of the whole set, then per restart: one map for the seed distances
+    # (which repair reuses) and one per iteration (the first also gives the
+    # starting margin); then one for the three ratios of the chosen margin
     iterations = sum(r.iterations for r in result.restarts)
-    assert len(maps) == 1 + 3 * 3 + iterations + 3
+    assert len(maps) == 1 + 3 + iterations + 1
     assert len(calls) == calc.cache.job_count
 
 
@@ -281,3 +283,77 @@ def test_min_class_distances_split_class_sorted(calc):
     assert distances["mixed"][0] < distances["pure"][0]
     with pytest.raises(ValueError):
         min_class_distances(calc, x, tree, k=0)
+
+
+# -- planned scores equal one-at-a-time ncd1 ------------------------------------
+
+
+def _loop_margin(calc, a, b):
+    union = calc.ncd1(a.union(b)).value
+    va = calc.ncd1(a).value
+    vb = calc.ncd1(b).value
+    return (union - va - vb, union, va, vb)
+
+
+def _with_copies(elements, prefix):
+    # the first two texts again under other ids: equal request keys in one plan
+    return Multiset(list(elements) + [Element(e.data, f"{prefix}-copy{i}") for i, e in enumerate(elements[:2])])
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_planned_scores_equal_a_loop_over_ncd1(jobs):
+    calc = NcdCalculator(ZlibBackend(), jobs=jobs)
+    classes = {
+        "p": _with_copies(near_copy_class(70, ALPHABET_A, 5, prefix="p"), "p"),
+        "q": _with_copies(near_copy_class(71, ALPHABET_B, 5, prefix="q"), "q"),
+        "r": _with_copies(phrase_class(72, ALPHABET_A, 5, prefix="r"), "r"),
+    }
+    for x, y in (("p", "q"), ("q", "r"), ("r", "r")):
+        m = margin(calc, classes[x], classes[y])
+        assert (m.value, m.ncd1_union, m.ncd1_a, m.ncd1_b) == _loop_margin(calc, classes[x], classes[y])
+    pairs = [("p", "q"), ("p", "r"), ("q", "r")]
+    expected = min(_loop_margin(calc, classes[x], classes[y])[0] for x, y in pairs)
+    assert min_inter_class_margin(calc, classes) == expected
+
+    p = classes["p"]
+    tree = PartitionTree(
+        roots={
+            "p": PartitionNode(p, children=(PartitionNode(Multiset(p[:3])), PartitionNode(Multiset(p[3:])))),
+            "q": PartitionNode(classes["q"]),
+        },
+        stop_margin=0.0,
+        config=PartitionConfig(),
+    )
+    x = Element(classes["r"][0].data, "x")
+    for k in (1, 2):
+        loop = {
+            label: sorted(
+                calc.ncd1(leaf.members.add(x)).value - calc.ncd1(leaf.members).value
+                for leaf in tree.leaves(label)
+            )[:k]
+            for label in sorted(tree.roots)
+        }
+        assert min_class_distances(calc, x, tree, k=k) == loop
+    assert min_class_distances(calc, x, PartitionTree({}, 0.0, PartitionConfig())) == {}
+
+
+def test_repair_reuses_the_seed_distances(monkeypatch):
+    def refuse(self, x, y):
+        raise AssertionError("repair asked for a pairwise distance")
+
+    moved = []
+    real_repair = ncdm.partition._repair_min_side
+
+    def recording_repair(*args):
+        side = args[-3]  # repaired in place
+        before = list(side)
+        real_repair(*args)
+        moved.append(sum(s != t for s, t in zip(before, side)))
+
+    monkeypatch.setattr(NcdCalculator, "ncd_pairwise", refuse)
+    monkeypatch.setattr(ncdm.partition, "_repair_min_side", recording_repair)
+    mix = near_copy_class(80, ALPHABET_B, 9, prefix="m") + near_copy_class(81, ALPHABET_A, 3, prefix="n")
+    calc = NcdCalculator(ZlibBackend(), jobs=1)
+    result = klists_split(calc, Multiset(mix), PartitionConfig(restarts=5, min_size=0.4, seed=3))
+    assert sum(moved) > 0  # some restart started with a starved side
+    assert len(result.a) >= 5 and len(result.b) >= 5
