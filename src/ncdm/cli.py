@@ -226,7 +226,7 @@ def _cmd_matrix(args, calc: NcdCalculator) -> tuple[dict, str]:
         "command": "matrix",
         "config": _config_echo(calc),
         "labels": list(dm.labels),
-        "values": [[float(v) for v in row] for row in dm.values],
+        "values": dm.values.tolist(),
         "csv": args.csv,
         "compression_jobs": calc.cache.job_count,
     }
@@ -380,12 +380,12 @@ def _cmd_image2bits(args) -> tuple[dict, str]:
             images.append(read_pgm(_require_file(raw)))
     if not images:
         raise UsageError("no images given; pass PGM files or --idx")
+    with _reraise(CorpusError):  # an image with no pixels
+        elements = [image_to_bitstream(img, scale=args.scale) for img in images]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for img in images:
-        with _reraise(CorpusError):  # an image with no pixels
-            element = image_to_bitstream(img, scale=args.scale)
+    for img, element in zip(images, elements):
         target = out_dir / (Path(img.name).stem + ".bits")
         target.write_bytes(element.data)
         written.append({"file": str(target), "length": len(element.data)})

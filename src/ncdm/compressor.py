@@ -272,6 +272,10 @@ def request_key(ms: Iterable[Element], mode: str) -> bytes:
     so equal keys frame equal bytes and a cache hit needs no serialization.
     ``text`` framing checks every element for the separator here, so a
     collision is raised before the cache is consulted.
+
+    A key extends by appending digests: ``request_key((x,), mode) + y.digest
+    == request_key((x, y), mode)``, so a caller that has already checked
+    ``y`` can key every pair led by ``x`` without scanning either again.
     """
     if mode not in FRAMING_MODES:
         raise ValueError(f"unknown framing mode {mode!r}; expected one of {FRAMING_MODES}")

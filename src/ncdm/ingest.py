@@ -202,7 +202,10 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
     except ValueError:
         names = tuple(fields)
         skip = 1
-    values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    try:
+        values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     return TimeSeries(values=values, feature_names=names, name=path.name)
 
 

@@ -14,6 +14,11 @@ request at the tail. Every size but the checkpointed matrix rows comes from
 a plan, down to ``g`` and ``ncd_pairwise``. ``g_profiles`` plans the whole
 multiset, leave-one-outs and singletons of a batch of multisets: a whole
 LOOCV, ``classify`` batch, K-Lists iteration or set of margins is one map.
+
+The pairwise matrix does no more Python work per pair than a cache lookup:
+each distinct element is framed and checked for the separator once, a row
+extends its first element's request key by each partner's digest, and the
+whole matrix is scored in one array expression.
 """
 
 from __future__ import annotations
@@ -324,10 +329,14 @@ class NcdCalculator:
         Works on the distinct contents in canonical order, one row task per
         content x: the row asks for G(xy) of every later y, and for G(xx) when
         x occurs more than once, so each size is asked for once, by one task.
-        The row compresses ``prefix_frame(x)`` once, into ``backend.after``,
-        and each pair on a miss compresses only the framed y from there.
-        Values are then scattered back to every id. n distinct elements cost
-        n + n(n-1)/2 size requests.
+        The singles plan checks every element for the separator before any
+        lookup; each distinct content is then framed once, and a row extends
+        ``request_key((x,))`` by each y's digest, which is
+        ``request_key((x, y))``. The row compresses ``prefix_frame(x)`` once,
+        into ``backend.after``, and each pair on a miss compresses only the
+        framed y from there. n distinct elements cost n + n(n-1)/2 size
+        requests. The scores are one array expression over every id, equal
+        bit for bit to ``_pairwise`` of the same sizes.
         """
         els = list(elements)
         if len(els) < 2:
@@ -335,30 +344,32 @@ class NcdCalculator:
         singles = self._sizes([Multiset([e]) for e in els])
         distinct = Multiset({e.digest: e for e in els}.values())
         counts = Counter(e.digest for e in els)
+        framed = [serialize_multiset((y,), self.mode) for y in distinct]
+        m = len(distinct)
 
         def row(r: int) -> list[int]:
             x = distinct[r]
             after_x = self.backend.after(prefix_frame(x, self.mode))
+            key_x = request_key((x,), self.mode)
             return [
                 cached_compress_len(
-                    after_x,
-                    self.cache,
-                    request_key((x, y), self.mode),
-                    lambda: serialize_multiset((y,), self.mode),
+                    after_x, self.cache, key_x + distinct[c].digest, lambda: framed[c]
                 )
-                for y in distinct.elements[r if counts[x.digest] > 1 else r + 1 :]
+                for c in range(r if counts[x.digest] > 1 else r + 1, m)
             ]
 
-        m = len(distinct)
-        gxy = np.zeros((m, m), dtype=np.int64)
+        gxy = np.zeros((m, m))
         for r, sizes in enumerate(parallel_map(row, range(m), self._pool)):
             # Row r covers columns r + 1 .. m - 1, and r itself for a repeated x.
             gxy[r, m - len(sizes) :] = gxy[m - len(sizes) :, r] = sizes
         column = {x.digest: c for c, x in enumerate(distinct)}
         at = [column[e.digest] for e in els]
-        n = len(els)
-        matrix = np.zeros((n, n))
-        for i, j in itertools.combinations(range(n), 2):
-            pair = int(gxy[at[i], at[j]])
-            matrix[i, j] = matrix[j, i] = _pairwise(singles[i], singles[j], pair)
+        # _pairwise over every id at once: each size is an integer below 2**53,
+        # so the float subtraction is exact and the division rounds as
+        # Python's int / int does.
+        g = np.array(singles, dtype=np.float64)
+        matrix = gxy[np.ix_(at, at)]
+        matrix -= np.minimum.outer(g, g)
+        matrix /= np.maximum.outer(g, g)
+        np.fill_diagonal(matrix, 0.0)
         return DistanceMatrix(tuple(e.id for e in els), matrix)

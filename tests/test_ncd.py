@@ -468,6 +468,41 @@ def test_matrix_permutation_invariant(payloads, repeats, rng, mode, jobs):
     assert shuffled.values.tobytes() == dm.values[np.ix_(order, order)].tobytes()
 
 
+@given(
+    st.lists(st.binary(min_size=1, max_size=64), min_size=2, max_size=6),
+    st.lists(st.integers(0, 5), max_size=3),
+    st.sampled_from(["text", "varint"]),
+    st.sampled_from([1, 2]),
+)
+@settings(max_examples=40, deadline=None)
+def test_matrix_is_pairwise_bit_for_bit_and_shares_pair_keys(payloads, repeats, mode, jobs):
+    if mode == "text":
+        payloads = [p.replace(b"\n", b" ") for p in payloads]
+    payloads += [payloads[r % len(payloads)] for r in repeats]  # repeated texts
+    elements = [Element(p, f"e{i}") for i, p in enumerate(payloads)]
+    calc = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=jobs)
+    dm = calc.distance_matrix(elements)
+    g = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=1).g
+    pairs = list(itertools.combinations(range(len(elements)), 2))
+    for i, j in pairs:
+        x, y = elements[i], elements[j]
+        expected = ncdm.ncd._pairwise(
+            g(Multiset([x])), g(Multiset([y])), g(Multiset([x, y]))
+        )
+        assert dm.values[i, j].hex() == dm.values[j, i].hex() == expected.hex()
+    assert not np.diagonal(dm.values).any()
+    # A cache warmed by ncd_pairs over the same pairs answers every size the
+    # matrix asks for, so its pair keys are request_key((x, y)).
+    warm = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=jobs)
+    warm.ncd_pairs([(elements[i], elements[j]) for i, j in pairs])
+    cache = warm.cache
+    jobs_before, lookups_before, hits_before = cache.job_count, cache.lookups, cache.hits
+    again = warm.distance_matrix(elements)
+    assert cache.job_count == jobs_before
+    assert cache.hits - hits_before == cache.lookups - lookups_before > 0
+    assert again.values.tobytes() == dm.values.tobytes()
+
+
 def test_matrix_parallel_serial_identical_csv():
     elements = fragment_elements(33, make_vocab(33, ALPHABET_A), 6)
     serial = NcdCalculator(Bz2Backend(), jobs=1).distance_matrix(elements)
