@@ -105,39 +105,47 @@ def _unit_vector(rng: np.random.Generator) -> np.ndarray:
 
 
 def _run_and_tumble(rng: np.random.Generator, n_steps: int, p: CellModelParams) -> np.ndarray:
-    """Positions over n_steps samples, starting at the origin."""
-    pos = np.zeros((n_steps, 3))
-    cur = np.zeros(3)
+    """Positions over n_steps samples, starting at the origin.
+
+    Bit-identical to stepping one sample at a time (``cur = cur + step``):
+    a segment of ``k = min(length, samples left)`` samples draws its tumble
+    jitter as one ``rng.normal(size=(k, 3))``, the same normals in the same
+    order as k draws of size 3, and ``np.cumsum`` adds the steps sequentially
+    from the zero first row, exactly as the running sum does.
+    """
+    steps = np.zeros((n_steps, 3))
     i = 1
     while i < n_steps:
         run_len = max(1, int(round(rng.exponential(p.run_duration_mean))))
         direction = _unit_vector(rng)
-        for _ in range(run_len):
-            if i >= n_steps:
-                break
-            cur = cur + p.run_speed * direction
-            pos[i] = cur
-            i += 1
+        k = min(run_len, n_steps - i)
+        steps[i : i + k] = p.run_speed * direction
+        i += k
         if i >= n_steps:
             break
         tumble_len = max(1, int(round(rng.exponential(p.tumble_duration_mean))))
-        for _ in range(tumble_len):
-            if i >= n_steps:
-                break
-            cur = cur + p.run_speed * p.tumble_step_scale * rng.normal(size=3)
-            pos[i] = cur
-            i += 1
-    return pos
+        k = min(tumble_len, n_steps - i)
+        steps[i : i + k] = p.run_speed * p.tumble_step_scale * rng.normal(size=(k, 3))
+        i += k
+    return np.cumsum(steps, axis=0)
 
 
 def _turn_angles(deltas: np.ndarray) -> np.ndarray:
+    """Angle between consecutive displacements; 0 at t < 2 or where either is ~zero.
+
+    Bit-identical to taking ``np.dot`` and ``np.linalg.norm`` row by row:
+    the stacked ``(T,1,3) @ (T,3,1)`` products call the same BLAS dot on the
+    same rows (a sum of products or ``einsum`` adds in another order and
+    changes last bits), and clip and arccos act elementwise.
+    """
+    rows, cols = deltas[:, None, :], deltas[:, :, None]
+    norms = np.sqrt((rows @ cols).ravel())
+    dots = (rows[1:-1] @ cols[2:]).ravel()
+    na, nb = norms[1:-1], norms[2:]
+    moving = (na > 1e-12) & (nb > 1e-12)
     angles = np.zeros(len(deltas))
-    for t in range(2, len(deltas)):
-        a, b = deltas[t - 1], deltas[t]
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na > 1e-12 and nb > 1e-12:
-            cosine = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
-            angles[t] = np.arccos(cosine)
+    cosines = np.clip(dots[moving] / (na[moving] * nb[moving]), -1.0, 1.0)
+    angles[2:][moving] = np.arccos(cosines)
     return angles
 
 

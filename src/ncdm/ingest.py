@@ -24,6 +24,7 @@ from .multiset import Element, Multiset
 # modulo the alphabet size, so ranges are disjoint while D * n_symbols <= 64.
 QUANT_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 MAX_SYMBOLS = len(QUANT_ALPHABET)
+_ALPHABET_BYTES = np.frombuffer(QUANT_ALPHABET, dtype=np.uint8)
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,7 +114,9 @@ def quantize_timeseries(
 
     With no prefitted ``quantizer`` the bins are fitted on the series itself.
     Bins are rank-based, so any strictly monotone per-feature transform of
-    the inputs leaves the symbol stream unchanged.
+    the inputs leaves the symbol stream unchanged. A column's symbols are
+    looked up in one indexing of the alphabet's bytes, the same bytes as
+    ``QUANT_ALPHABET[(offset + bin) % MAX_SYMBOLS]`` taken symbol by symbol.
     """
     if quantizer is None:
         if n_symbols is None:
@@ -133,8 +136,7 @@ def quantize_timeseries(
     symbols = np.empty(matrix.shape, dtype=np.uint8)
     for d in range(matrix.shape[1]):
         bins = np.searchsorted(np.asarray(quantizer.edges[d]), matrix[:, d], side="right")
-        offset = (d * n) % MAX_SYMBOLS
-        symbols[:, d] = [QUANT_ALPHABET[(offset + int(b)) % MAX_SYMBOLS] for b in bins]
+        symbols[:, d] = _ALPHABET_BYTES[(d * n + bins) % MAX_SYMBOLS]
     return Element(symbols.tobytes(), id=ts.name)
 
 
@@ -144,6 +146,12 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     Computed in exact integer arithmetic so the argmax is reproducible
     bit-for-bit; tied maxima resolve to the midpoint of the tying range.
     A single-level image yields that level.
+
+    Only occupied gray levels are visited. A split at an empty level leaves
+    both classes as they were at the occupied level before it, so each
+    occupied level's value holds up to the level before the next occupied
+    one, and a maximum there spans that whole range: the same tying range,
+    hence the same threshold, as trying all 256 levels.
     """
     arr = np.asarray(pixels)
     if arr.size == 0:
@@ -151,42 +159,48 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     flat = arr.ravel().astype(np.int64)
     if flat.min() < 0 or flat.max() > 255:
         raise ValueError("pixels must lie in [0, 255]")
-    counts = np.bincount(flat, minlength=256).tolist()
+    counts = np.bincount(flat, minlength=256)
+    levels = np.flatnonzero(counts).tolist()
+    counts = counts.tolist()
     total = int(arr.size)
-    weighted_total = sum(i * c for i, c in enumerate(counts))
+    weighted_total = sum(t * counts[t] for t in levels)
     best_num = best_den = None
-    tied: list[int] = []
+    first = last = 0
     w0 = s0 = 0
-    for t in range(256):
+    for t, following in zip(levels, levels[1:]):
         w0 += counts[t]
         s0 += t * counts[t]
         w1 = total - w0
-        if w0 == 0 or w1 == 0:
-            continue
         s1 = weighted_total - s0
         num = (s0 * w1 - s1 * w0) ** 2  # between-class variance, scaled by (w0*w1*N^2)
         den = w0 * w1
         if best_num is None or num * best_den > best_num * den:
             best_num, best_den = num, den
-            tied = [t]
+            first = t
+            last = following - 1
         elif num * best_den == best_num * den:
-            tied.append(t)
-    if not tied:
-        return int(flat[0])  # single gray level
-    return (tied[0] + tied[-1]) // 2
+            last = following - 1
+    if best_num is None:
+        return levels[0]  # single gray level
+    return (first + last) // 2
 
 
 def image_to_bitstream(img: GrayImage, scale: int = 4) -> Element:
-    """Upscale, Otsu-binarize, and serialize row-major as ASCII '0'/'1'."""
+    """Upscale, Otsu-binarize, and serialize row-major as ASCII '0'/'1'.
+
+    Binarizing first and upscaling the bits gives the same bytes: upscaling
+    repeats every pixel ``scale**2`` times, which multiplies every class
+    count and sum in ``otsu_threshold`` by one factor and leaves its exact
+    comparisons, hence the threshold, unchanged.
+    """
     if scale < 1:
         raise ValueError("scale must be >= 1")
     arr = np.asarray(img.pixels)
     if arr.ndim != 2 or arr.size == 0:
         raise ValueError(f"image must be a 2-D pixel grid, got shape {arr.shape}")
-    scaled = np.repeat(np.repeat(arr, scale, axis=0), scale, axis=1)
-    threshold = otsu_threshold(scaled)
-    bits = np.where(scaled > threshold, np.uint8(ord("1")), np.uint8(ord("0")))
-    return Element(bits.tobytes(), id=img.name)
+    bits = np.where(arr > otsu_threshold(arr), np.uint8(ord("1")), np.uint8(ord("0")))
+    scaled = np.repeat(np.repeat(bits, scale, axis=0), scale, axis=1)
+    return Element(scaled.tobytes(), id=img.name)
 
 
 def read_timeseries_csv(path: str | Path) -> TimeSeries:
@@ -231,12 +245,20 @@ def read_pgm(path: str | Path) -> GrayImage:
             pos += 1
         return data[start:pos]
 
+    def number(field: str) -> int:
+        raw = token()
+        if not raw.isdigit():
+            raise ValueError(
+                f"{path}: PGM {field} must be a decimal number, got {raw.decode('latin-1')!r}"
+            )
+        return int(raw)
+
     magic = token()
     if magic != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    width = int(token())
-    height = int(token())
-    maxval = int(token())
+    width = number("width")
+    height = number("height")
+    maxval = number("maxval")
     if maxval > 255:
         raise ValueError(f"{path}: 16-bit PGM not supported")
     pos += 1  # single whitespace after maxval

@@ -522,22 +522,39 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
 
 @pytest.mark.parametrize(
     "case, expected",
-    [("scale-0", 2), ("truncated-pgm", 1), ("empty-pgm", 1), ("idx-bad-magic", 1)],
+    [
+        ("scale-0", 2),
+        ("truncated-pgm", 1),
+        ("empty-pgm", 1),
+        ("pgm-width-not-a-number", 1),
+        ("pgm-without-maxval", 1),
+        ("idx-bad-magic", 1),
+    ],
 )
 def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
     pgm = tmp_path / "img.pgm"
     pixels = bytes(range(64)) if case != "truncated-pgm" else bytes(range(40))
-    pgm.write_bytes(b"P5\n0 0\n255\n" if case == "empty-pgm" else b"P5\n8 8\n255\n" + pixels)
+    pgm.write_bytes({
+        "empty-pgm": b"P5\n0 0\n255\n",
+        "pgm-width-not-a-number": b"P5\nx 8\n255\n" + pixels,
+        "pgm-without-maxval": b"P5\n8 8\n",
+    }.get(case, b"P5\n8 8\n255\n" + pixels))
     idx = tmp_path / "digits.idx"
     idx.write_bytes(b"\x00\x00\x08\x01" + (1).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + b"\x00" * 4)
     flags = {
         "scale-0": [str(pgm), "--scale", "0"],
         "truncated-pgm": [str(pgm)],
         "empty-pgm": [str(pgm)],
+        "pgm-width-not-a-number": [str(pgm)],
+        "pgm-without-maxval": [str(pgm)],
         "idx-bad-magic": ["--idx", str(idx)],
     }[case]
     out = tmp_path / "bits"
     code, report, err = run(capsys, "image2bits", "--out", str(out), *flags)
     assert code == expected and report is None
     assert err.startswith("usage error:" if expected == 2 else "error:")
+    if case == "pgm-width-not-a-number":
+        assert err.startswith(f"error: {pgm}: PGM width must be a decimal number, got 'x'")
+    if case == "pgm-without-maxval":
+        assert err.startswith(f"error: {pgm}: PGM maxval must be a decimal number, got ''")
     assert not out.exists()

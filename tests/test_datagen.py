@@ -3,7 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ncdm import datagen
 from ncdm.datagen import (
     FEATURE_NAMES,
     CellModelParams,
@@ -11,12 +14,129 @@ from ncdm.datagen import (
     simulate_population,
     write_population,
 )
-from ncdm.datagen import _cell_rng
+from ncdm.datagen import _cell_rng, _run_and_tumble, _turn_angles, _unit_vector
 from ncdm.ingest import read_timeseries_csv
 
 
 def params(upsilon=3.0, **kw) -> CellModelParams:
     return CellModelParams(upsilon=upsilon, **kw)
+
+
+# ----------------------------------------------------------------------
+# Loop oracles: the simulator's kernels one sample at a time. The array
+# kernels must give the same bytes and consume the same random stream.
+# ----------------------------------------------------------------------
+
+
+def oracle_run_and_tumble(rng: np.random.Generator, n_steps: int, p: CellModelParams) -> np.ndarray:
+    pos = np.zeros((n_steps, 3))
+    cur = np.zeros(3)
+    i = 1
+    while i < n_steps:
+        run_len = max(1, int(round(rng.exponential(p.run_duration_mean))))
+        direction = _unit_vector(rng)
+        for _ in range(run_len):
+            if i >= n_steps:
+                break
+            cur = cur + p.run_speed * direction
+            pos[i] = cur
+            i += 1
+        if i >= n_steps:
+            break
+        tumble_len = max(1, int(round(rng.exponential(p.tumble_duration_mean))))
+        for _ in range(tumble_len):
+            if i >= n_steps:
+                break
+            cur = cur + p.run_speed * p.tumble_step_scale * rng.normal(size=3)
+            pos[i] = cur
+            i += 1
+    return pos
+
+
+def oracle_turn_angles(deltas: np.ndarray) -> np.ndarray:
+    angles = np.zeros(len(deltas))
+    for t in range(2, len(deltas)):
+        a, b = deltas[t - 1], deltas[t]
+        na, nb = np.linalg.norm(a), np.linalg.norm(b)
+        if na > 1e-12 and nb > 1e-12:
+            cosine = float(np.clip(np.dot(a, b) / (na * nb), -1.0, 1.0))
+            angles[t] = np.arccos(cosine)
+    return angles
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_steps=st.integers(2, 300),
+    run_mean=st.floats(0.05, 30.0),
+    tumble_mean=st.floats(0.05, 10.0),
+    speed=st.floats(0.01, 5.0),
+    jitter=st.floats(0.0, 2.0),
+)
+def test_run_and_tumble_matches_the_loop_bit_for_bit(seed, n_steps, run_mean, tumble_mean, speed, jitter):
+    p = params(
+        run_duration_mean=run_mean,
+        tumble_duration_mean=tumble_mean,
+        run_speed=speed,
+        tumble_step_scale=jitter,
+    )
+    rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = _run_and_tumble(rng, n_steps, p)
+    want = oracle_run_and_tumble(oracle_rng, n_steps, p)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+# A row is a random vector, a zero row, a row below the 1e-12 norm cut, or
+# the previous row times a power of two: exactly parallel or antiparallel,
+# so the cosine can land just outside [-1, 1] and the clip acts.
+_ROW = st.one_of(
+    st.tuples(st.just("vector"), st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3)),
+    st.tuples(st.just("zero"), st.none()),
+    st.tuples(st.just("tiny"), st.lists(st.floats(-4e-13, 4e-13), min_size=3, max_size=3)),
+    st.tuples(st.just("scaled"), st.sampled_from([1.0, 2.0, 0.5, -1.0, -4.0, -0.25])),
+)
+
+
+def _deltas(rows) -> np.ndarray:
+    out = [np.zeros(3)]
+    for kind, value in rows:
+        if kind == "scaled":
+            out.append(out[-1] * value)
+        elif kind == "zero":
+            out.append(np.zeros(3))
+        else:
+            out.append(np.array(value))
+    return np.array(out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ROW, min_size=0, max_size=40))
+@example([  # cosines of 1 + 2**-52 and -(1 + 2**-52) before the clip, then both masks
+    ("vector", [-1.303, 0.905, 0.446]), ("scaled", 1.0),
+    ("vector", [0.294, 0.028, 0.547]), ("scaled", -1.0),
+    ("zero", None), ("vector", [0.1, 0.2, 0.3]), ("tiny", [1e-13, 0.0, 0.0]), ("scaled", 2.0),
+])
+def test_turn_angles_match_the_loop_bit_for_bit(rows):
+    deltas = _deltas(rows)
+    assert _turn_angles(deltas).tobytes() == oracle_turn_angles(deltas).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_population_matches_the_loop_oracles(monkeypatch, seed):
+    """The benchmark's cell corpus: 16 cells per class, seeds from one SeedSequence."""
+    for upsilon, cell_seed in zip((3.0, 0.9), np.random.SeedSequence(seed).generate_state(2)):
+        p = params(upsilon=upsilon, track_len_range=(228, 280), seed=int(cell_seed))
+        got = simulate_population(p, 16)
+        with monkeypatch.context() as m:
+            m.setattr(datagen, "_run_and_tumble", oracle_run_and_tumble)
+            m.setattr(datagen, "_turn_angles", oracle_turn_angles)
+            want = simulate_population(p, 16)
+        assert [(t.index, t.birth_time, t.lifespan, t.fate) for t in got] == [
+            (t.index, t.birth_time, t.lifespan, t.fate) for t in want
+        ]
+        for g, w in zip(got, want):
+            assert g.features.tobytes() == w.features.tobytes()
 
 
 # -- radius model ---------------------------------------------------------

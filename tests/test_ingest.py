@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ncdm import (
     CorpusError,
@@ -14,7 +16,13 @@ from ncdm import (
     otsu_threshold,
     quantize_timeseries,
 )
-from ncdm.ingest import QUANT_ALPHABET, read_idx_images, read_pgm, read_timeseries_csv
+from ncdm.ingest import (
+    MAX_SYMBOLS,
+    QUANT_ALPHABET,
+    read_idx_images,
+    read_pgm,
+    read_timeseries_csv,
+)
 
 # ----------------------------------------------------------------------
 # Independent Otsu oracle: recompute the between-class variance for every
@@ -47,7 +55,42 @@ def oracle_otsu(pixels: np.ndarray) -> int:
     return (tied[0] + tied[-1]) // 2
 
 
+# Loop oracle for the quantizer's symbol mapping: one alphabet lookup per
+# symbol, as the array kernel must reproduce byte for byte.
+def oracle_quantize(values: np.ndarray, quantizer: QuantizerConfig) -> bytes:
+    n = quantizer.n_symbols
+    symbols = np.empty(values.shape, dtype=np.uint8)
+    for d in range(values.shape[1]):
+        bins = np.searchsorted(np.asarray(quantizer.edges[d]), values[:, d], side="right")
+        offset = (d * n) % MAX_SYMBOLS
+        symbols[:, d] = [QUANT_ALPHABET[(offset + int(b)) % MAX_SYMBOLS] for b in bins]
+    return symbols.tobytes()
+
+
 # -- quantization -----------------------------------------------------------
+
+
+# Values from a few levels make bin edges coincide with samples (ties on
+# ``side="right"``); feature counts times symbols above 64 wrap the alphabet.
+_CELL = st.one_of(st.floats(-1e6, 1e6), st.sampled_from([-1.0, 0.0, 0.5, 2.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n_symbols=st.integers(2, MAX_SYMBOLS),
+    width=st.integers(1, 6),
+    train=st.data(),
+)
+def test_quantize_matches_the_per_symbol_loop(n_symbols, width, train):
+    def matrix():
+        rows = train.draw(st.integers(1, 30))
+        cells = train.draw(st.lists(_CELL, min_size=rows * width, max_size=rows * width))
+        return np.array(cells, dtype=float).reshape(rows, width)
+
+    fitted = fit_quantizer([TimeSeries(matrix(), name="train")], n_symbols)
+    values = matrix()
+    got = quantize_timeseries(TimeSeries(values, name="x"), quantizer=fitted).data
+    assert got == oracle_quantize(values, fitted)
 
 
 def test_constant_series_single_symbol():
@@ -153,6 +196,23 @@ def test_otsu_matches_oracle_on_random_images():
         assert otsu_threshold(pixels) == oracle_otsu(pixels)
 
 
+# Images over at most six gray levels: single-level, two-level, sparse
+# levels with empty ranges between them, and tied maxima.
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 255), min_size=1, max_size=6, unique=True).flatmap(
+        lambda levels: st.lists(st.sampled_from(levels), min_size=1, max_size=48)
+    )
+)
+@example([5])
+@example([0, 255])
+@example([0, 0, 10, 10, 20, 20])  # splits at 0 and at 10 tie: range [0, 19]
+@example([3, 3, 3, 250, 251, 251, 7])
+def test_otsu_matches_oracle_on_few_level_images(pixels):
+    image = np.array(pixels, dtype=np.uint8).reshape(1, -1)
+    assert otsu_threshold(image) == oracle_otsu(image)
+
+
 def test_otsu_degenerate_single_level():
     pixels = np.full((28, 28), 77, dtype=np.uint8)
     assert otsu_threshold(pixels) == 77
@@ -181,6 +241,18 @@ def test_bitstream_scale_replicates_blocks():
     element = image_to_bitstream(img, scale=3)
     rows = [element.data[i * 6 : (i + 1) * 6] for i in range(3)]
     assert all(r == b"000111" for r in rows)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.tuples(st.integers(1, 5), st.integers(1, 5)), scale=st.integers(1, 3), data=st.data())
+def test_bitstream_equals_thresholding_the_upscaled_image(shape, scale, data):
+    levels = data.draw(st.lists(st.integers(0, 255), min_size=1, max_size=4, unique=True))
+    size = shape[0] * shape[1]
+    cells = data.draw(st.lists(st.sampled_from(levels), min_size=size, max_size=size))
+    pixels = np.array(cells, dtype=np.uint8).reshape(shape)
+    scaled = np.repeat(np.repeat(pixels, scale, axis=0), scale, axis=1)
+    want = np.where(scaled > oracle_otsu(scaled), np.uint8(ord("1")), np.uint8(ord("0")))
+    assert image_to_bitstream(GrayImage(pixels, name="g"), scale=scale).data == want.tobytes()
 
 
 def test_bitstream_rejects_bad_scale():
