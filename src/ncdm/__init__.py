@@ -17,7 +17,6 @@ from .classify import (
     delta_ncd1,
     delta_scores,
     loocv,
-    mean_distance_scores,
     wilson_ci,
 )
 from .compressor import (
@@ -108,7 +107,6 @@ __all__ = [
     "load_corpus",
     "loocv",
     "margin",
-    "mean_distance_scores",
     "min_class_distances",
     "min_inter_class_margin",
     "normality_report",

@@ -167,13 +167,6 @@ def delta_scores(
     return _delta_batch(calc, [(TestItem(x), classes)])[0]
 
 
-def mean_distance_scores(
-    calc: NcdCalculator, x: Element, classes: Mapping[str, Multiset]
-) -> dict[str, float]:
-    """Distance from x to each class: arithmetic mean of pairwise distances."""
-    return _mean_distance_batch(calc, [(TestItem(x), classes)])[0]
-
-
 def _argmin_label(scores: Mapping[str, float]) -> str:
     # min() keeps the first of equal keys, so sorting the labels makes the
     # tie-break the lexicographically smallest label.
@@ -203,7 +196,6 @@ def loocv(
     calc: NcdCalculator,
     corpus: LabeledCorpus,
     method: str = "delta-ncd1",
-    level: float = 0.95,
     seed: int | None = None,
 ) -> ClassificationReport:
     """Leave-one-out cross-validation over every training element.
@@ -212,7 +204,7 @@ def loocv(
     its class before any scoring, so no method ever sees the held-out element
     on the training side. Every fold is one case of a single
     ``classify_items`` batch, so the whole LOOCV compresses in one map;
-    results assemble in corpus order.
+    results assemble in corpus order, and ``ci`` is the 95% ``wilson_ci``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -237,7 +229,7 @@ def loocv(
     return ClassificationReport(
         items=tuple(items),
         accuracy=accuracy,
-        ci=wilson_ci(accuracy, n, level),
+        ci=wilson_ci(accuracy, n),
         n=n,
         method=method,
         backend=calc.backend.name,

@@ -372,6 +372,8 @@ def _cmd_quantize(args) -> tuple[dict, str]:
 def _cmd_image2bits(args) -> tuple[dict, str]:
     if args.scale < 1:
         raise UsageError("--scale must be >= 1")
+    if args.limit is not None and args.limit < 1:
+        raise UsageError(f"--limit must be >= 1, got {args.limit}")
     images = []
     with _reraise(CorpusError):
         if args.idx:

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bz2
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -43,6 +44,9 @@ SNAPSHOT_HEADER = "# ncdm-sizes v2"
 # Seconds an external compressor may take on one request before it is killed
 # and reported unavailable, so a hung ``cmd:`` command cannot hang a run.
 EXTERNAL_TIMEOUT_S = 600.0
+# Most singletons and triples ``normality_report`` samples from a corpus.
+SAMPLED_SINGLETONS = 50
+SAMPLED_TRIPLES = 50
 _SNAPSHOT_RECORD = re.compile(r"[0-9a-f]{64}\t[1-9][0-9]*")
 
 
@@ -50,7 +54,6 @@ class CompressorBackend:
     """Deterministic, size-only view of a real-world compressor."""
 
     name: str
-    kind: str
 
     def compress_len(self, data: bytes) -> int:
         raise NotImplementedError
@@ -64,7 +67,7 @@ class _Prefixed(CompressorBackend):
     """``after`` by concatenation: every request compresses the prefix again."""
 
     def __init__(self, backend: CompressorBackend, prefix: bytes) -> None:
-        self.name, self.kind = backend.name, backend.kind
+        self.name = backend.name
         self._backend, self._prefix = backend, prefix
 
     def compress_len(self, data: bytes) -> int:
@@ -73,8 +76,6 @@ class _Prefixed(CompressorBackend):
 
 class Bz2Backend(CompressorBackend):
     """Block-sorting compressor; level 9 is the stock bzip2 configuration."""
-
-    kind = "bwt-block-family"
 
     def __init__(self, level: int = 9) -> None:
         if not 1 <= level <= 9:
@@ -88,8 +89,6 @@ class Bz2Backend(CompressorBackend):
 
 class ZlibBackend(CompressorBackend):
     """Deflate compressor (32 KiB window); long-range redundancy is invisible to it."""
-
-    kind = "deflate-family"
 
     def __init__(self, level: int = 6) -> None:
         if not 1 <= level <= 9:
@@ -120,7 +119,7 @@ class _DeflateCheckpoint(CompressorBackend):
     """
 
     def __init__(self, backend: ZlibBackend, prefix: bytes) -> None:
-        self.name, self.kind, self.level = backend.name, backend.kind, backend.level
+        self.name, self.level = backend.name, backend.level
         self._prefix = prefix
         self._state = None
         self._prefix_out = 0
@@ -142,8 +141,6 @@ class ExternalBackend(CompressorBackend):
     stream to stdout. A command still running after ``EXTERNAL_TIMEOUT_S``
     is killed, and the request fails with ``BackendUnavailableError``.
     """
-
-    kind = "external-command"
 
     def __init__(self, argv: Sequence[str]) -> None:
         if not argv:
@@ -219,19 +216,17 @@ def encode_uvarint(n: int) -> bytes:
     return bytes(out)
 
 
-def serialize_multiset(
-    ms: Iterable[Element], mode: str = "text", separator: bytes = SEPARATOR
-) -> bytes:
+def serialize_multiset(ms: Iterable[Element], mode: str = "text") -> bytes:
     """Serialize a multiset to the byte string handed to the compressor.
 
     Elements appear in iteration order, which for a ``Multiset`` is the
     canonical order, so any permutation of the same bag yields identical
-    bytes. ``text`` mode joins elements with a separator byte and requires
-    that no element contain it; ``varint`` mode prefixes each element with
+    bytes. ``text`` mode joins elements with ``SEPARATOR`` and requires that
+    no element contain it; ``varint`` mode prefixes each element with
     its LEB128-encoded length and is safe for arbitrary binary content.
     """
     if mode == "text":
-        return separator.join(_check_separator(e, separator).data for e in ms)
+        return SEPARATOR.join(_check_separator(e).data for e in ms)
     if mode == "varint":
         return b"".join(encode_uvarint(len(e.data)) + e.data for e in ms)
     raise ValueError(f"unknown framing mode {mode!r}; expected one of {FRAMING_MODES}")
@@ -256,11 +251,11 @@ def prefix_frame(e: Element, mode: str) -> bytes:
     return framed + SEPARATOR if mode == "text" else framed
 
 
-def _check_separator(e: Element, separator: bytes) -> Element:
-    if separator in e.data:
+def _check_separator(e: Element) -> Element:
+    if SEPARATOR in e.data:
         raise SeparatorCollisionError(
             f"element {e.id!r} contains the separator byte "
-            f"{separator!r}; use varint framing for binary data"
+            f"{SEPARATOR!r}; use varint framing for binary data"
         )
     return e
 
@@ -280,7 +275,7 @@ def request_key(ms: Iterable[Element], mode: str) -> bytes:
     if mode not in FRAMING_MODES:
         raise ValueError(f"unknown framing mode {mode!r}; expected one of {FRAMING_MODES}")
     if mode == "text":
-        ms = [_check_separator(e, SEPARATOR) for e in ms]
+        ms = [_check_separator(e) for e in ms]
     return b"".join([mode.encode(), b":", *(e.digest for e in ms)])
 
 
@@ -418,39 +413,38 @@ class NormalityReport:
 def normality_report(
     backend: CompressorBackend,
     corpus: Sequence[Element],
-    tolerance: int | Callable[[int], int] | None = None,
-    max_singletons: int = 50,
+    tolerance: int | None = None,
     max_pairs: int = 100,
-    max_triples: int = 50,
     seed: int = 0,
     mode: str = "text",
 ) -> NormalityReport:
     """Diagnose how closely a backend honors the normal-compressor properties.
 
-    Checks, on sampled singletons/pairs/triples from the corpus, with G the
-    compressed size and xy the framed concatenation in the given order:
-    determinism G(x) equal on a second compression, and G(xy) equal when
-    compressed through ``backend.after(prefix_frame(x))`` (no tolerance:
-    cached sizes are only sound for a deterministic backend), idempotency
-    |G(xx) - G(x)| <= tol, monotonicity G(xy) >= G(x) - tol,
-    symmetry |G(xy) - G(yx)| <= tol, and distributivity
-    G(xy) + G(z) <= G(xz) + G(yz) + tol. Every recorded violation exceeds
-    the tolerance for its input size.
+    Checks, on up to ``SAMPLED_SINGLETONS`` singletons, ``max_pairs`` pairs and
+    ``SAMPLED_TRIPLES`` triples drawn with ``seed``, with G the compressed size
+    and xy the framed concatenation in the given order: determinism G(x)
+    equal on a second compression, and G(xy) equal when compressed through
+    ``backend.after(prefix_frame(x))`` (no tolerance: cached sizes are only
+    sound for a deterministic backend), idempotency |G(xx) - G(x)| <= tol,
+    monotonicity G(xy) >= G(x) - tol, symmetry |G(xy) - G(yx)| <= tol, and
+    distributivity G(xy) + G(z) <= G(xz) + G(yz) + tol. ``tolerance`` is a
+    fixed byte slack, by default ``default_tolerance`` of the input size.
     """
     if not corpus:
         raise ValueError("normality check needs a non-empty corpus")
     if max_pairs < 0:
         raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
-    if tolerance is None:
-        tol_fn: Callable[[int], int] = default_tolerance
-    elif callable(tolerance):
-        tol_fn = tolerance
-    else:
-        tol_fn = lambda _n, _t=int(tolerance): _t  # noqa: E731 - constant slack
 
     rng = random.Random(seed)
     report = NormalityReport(backend=backend.name)
     sizes: dict[str, int] = {}
+
+    def tol_for(n_bytes: int) -> int:
+        return default_tolerance(n_bytes) if tolerance is None else tolerance
+
+    def record(prop: str, ids: tuple[str, ...], slack: int, tol: int) -> None:
+        if slack > tol:
+            report.violations[prop].append(NormalityViolation(ids, slack, tol))
 
     def g_single(e: Element) -> int:
         if e.id not in sizes:
@@ -463,61 +457,40 @@ def normality_report(
         return compress_len(backend, serialize_multiset((x, y), mode))
 
     singles = list(corpus)
-    if len(singles) > max_singletons:
-        singles = rng.sample(singles, max_singletons)
+    if len(singles) > SAMPLED_SINGLETONS:
+        singles = rng.sample(singles, SAMPLED_SINGLETONS)
     for x in singles:
         gx = g_single(x)
-        drift = abs(compress_len(backend, x.data) - gx)
-        if drift:
-            report.violations["determinism"].append(NormalityViolation((x.id,), drift, 0))
-        gxx = g_pair(x, x)
-        tol = tol_fn(2 * len(x.data) + 1)
-        slack = abs(gxx - gx)
-        if slack > tol:
-            report.violations["idempotency"].append(NormalityViolation((x.id, x.id), slack, tol))
-    report.checks["determinism"] = len(singles)
-    report.checks["idempotency"] = len(singles)
+        record("determinism", (x.id,), abs(compress_len(backend, x.data) - gx), 0)
+        record("idempotency", (x.id, x.id), abs(g_pair(x, x) - gx), tol_for(2 * len(x.data) + 1))
 
-    all_pairs = [
-        (corpus[i], corpus[j])
-        for i in range(len(corpus))
-        for j in range(i + 1, len(corpus))
-    ]
+    all_pairs = list(itertools.combinations(corpus, 2))
     pairs = all_pairs if len(all_pairs) <= max_pairs else rng.sample(all_pairs, max_pairs)
     for x, y in pairs:
         gxy = g_pair(x, y)
         gyx = g_pair(y, x)
         after_x = backend.after(prefix_frame(x, mode))
         drift = abs(compress_len(after_x, serialize_multiset((y,), mode)) - gxy)
-        if drift:
-            report.violations["determinism"].append(NormalityViolation((x.id, y.id), drift, 0))
-        tol = tol_fn(len(x.data) + len(y.data) + 1)
-        slack = abs(gxy - gyx)
-        if slack > tol:
-            report.violations["symmetry"].append(NormalityViolation((x.id, y.id), slack, tol))
-        for first, combined in ((x, gxy), (y, gyx)):
-            mono_slack = g_single(first) - combined
-            if mono_slack > tol:
-                report.violations["monotonicity"].append(
-                    NormalityViolation((first.id, y.id if first is x else x.id), mono_slack, tol)
-                )
-    report.checks["determinism"] += len(pairs)
-    report.checks["symmetry"] = len(pairs)
-    report.checks["monotonicity"] = 2 * len(pairs)
+        record("determinism", (x.id, y.id), drift, 0)
+        tol = tol_for(len(x.data) + len(y.data) + 1)
+        record("symmetry", (x.id, y.id), abs(gxy - gyx), tol)
+        record("monotonicity", (x.id, y.id), g_single(x) - gxy, tol)
+        record("monotonicity", (y.id, x.id), g_single(y) - gyx, tol)
 
-    triples = []
-    if len(corpus) >= 3:
-        n_triples = min(max_triples, len(corpus) * 3)
-        for _ in range(n_triples):
-            triples.append(tuple(rng.sample(range(len(corpus)), 3)))
+    n_triples = min(SAMPLED_TRIPLES, 3 * len(corpus)) if len(corpus) >= 3 else 0
+    triples = [rng.sample(range(len(corpus)), 3) for _ in range(n_triples)]
     for i, j, k in triples:
         x, y, z = corpus[i], corpus[j], corpus[k]
-        tol = tol_fn(len(x.data) + len(y.data) + len(z.data) + 2)
         slack = (g_pair(x, y) + g_single(z)) - (g_pair(x, z) + g_pair(y, z))
-        if slack > tol:
-            report.violations["distributivity"].append(
-                NormalityViolation((x.id, y.id, z.id), slack, tol)
-            )
-    report.checks["distributivity"] = len(triples)
+        tol = tol_for(len(x.data) + len(y.data) + len(z.data) + 2)
+        record("distributivity", (x.id, y.id, z.id), slack, tol)
 
+    # Keys in the order compressor-check has always reported them.
+    report.checks = {
+        "determinism": len(singles) + len(pairs),
+        "idempotency": len(singles),
+        "symmetry": len(pairs),
+        "monotonicity": 2 * len(pairs),
+        "distributivity": len(triples),
+    }
     return report

@@ -105,28 +105,15 @@ def fit_quantizer(corpus: Sequence[TimeSeries], n_symbols: int) -> QuantizerConf
     return QuantizerConfig(n_symbols, edges, tuple(corpus[0].feature_names))
 
 
-def quantize_timeseries(
-    ts: TimeSeries,
-    n_symbols: int | None = None,
-    quantizer: QuantizerConfig | None = None,
-) -> Element:
-    """Map a series to a printable symbol stream, time-major.
+def quantize_timeseries(ts: TimeSeries, quantizer: QuantizerConfig) -> Element:
+    """Map a series to a printable symbol stream, time-major, with a fitted quantizer.
 
-    With no prefitted ``quantizer`` the bins are fitted on the series itself.
-    Bins are rank-based, so any strictly monotone per-feature transform of
-    the inputs leaves the symbol stream unchanged. A column's symbols are
-    looked up in one indexing of the alphabet's bytes, the same bytes as
-    ``QUANT_ALPHABET[(offset + bin) % MAX_SYMBOLS]`` taken symbol by symbol.
+    Fit ``quantizer`` once over the training corpus (``fit_quantizer``): only
+    streams quantized with the same bins can be compared. Bins are rank-based,
+    so a strictly monotone per-feature transform of a corpus, fitted again,
+    gives the same streams. A column's symbols are one indexing of the
+    alphabet's bytes, ``QUANT_ALPHABET[(offset + bin) % MAX_SYMBOLS]`` per symbol.
     """
-    if quantizer is None:
-        if n_symbols is None:
-            raise ValueError("pass n_symbols or a fitted quantizer")
-        quantizer = fit_quantizer([ts], n_symbols)
-    elif n_symbols is not None and n_symbols != quantizer.n_symbols:
-        raise ValueError(
-            f"n_symbols={n_symbols} disagrees with fitted quantizer "
-            f"({quantizer.n_symbols})"
-        )
     matrix = _as_matrix(ts.values)
     n = quantizer.n_symbols
     if matrix.shape[1] != len(quantizer.edges):
@@ -224,7 +211,7 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
 
 
 def read_pgm(path: str | Path) -> GrayImage:
-    """Binary PGM (P5), maxval <= 255."""
+    """Binary PGM (P5) with a maxval in 1..255 and no pixel above it."""
     path = Path(path)
     data = path.read_bytes()
 
@@ -261,16 +248,22 @@ def read_pgm(path: str | Path) -> GrayImage:
     maxval = number("maxval")
     if maxval > 255:
         raise ValueError(f"{path}: 16-bit PGM not supported")
+    if maxval == 0:
+        raise ValueError(f"{path}: PGM maxval must be >= 1, got 0")
     pos += 1  # single whitespace after maxval
     raster = data[pos : pos + width * height]
     if len(raster) != width * height:
         raise ValueError(f"{path}: truncated raster")
     pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+    if pixels.size and pixels.max() > maxval:
+        raise ValueError(f"{path}: a pixel is {pixels.max()}, above the maxval {maxval}")
     return GrayImage(pixels=pixels, name=path.name)
 
 
 def read_idx_images(path: str | Path, limit: int | None = None) -> list[GrayImage]:
-    """IDX-style unsigned-byte image records (magic 0x00000803)."""
+    """IDX-style unsigned-byte image records (magic 0x00000803), at most ``limit`` of them."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"IDX record limit must be >= 0, got {limit}")
     path = Path(path)
     data = path.read_bytes()
     if len(data) < 16:

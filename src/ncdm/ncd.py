@@ -298,15 +298,18 @@ class NcdCalculator:
 
         Repeatedly removes the occurrence whose removal leaves the largest
         compressed remainder (ties: earliest in canonical order) and returns
-        the maximum ncd1 seen along the chain. Each round's leave-one-out
-        sizes double as the next round's whole-set size, so a fresh cache
-        sees at most n(n+1)/2 + 2n distinct compressions.
+        the maximum ncd1 seen along the chain. Each round is one
+        ``g_profile`` map. After the first round, the whole-set size is a
+        leave-one-out of the round before and every singleton was sized in
+        the first round, so only the new leave-one-outs are compressed: a
+        fresh cache sees at most n(n+1)/2 + 2n distinct compressions.
         """
         chain: list[ChainStep] = []
         best_value: float | None = None
         best_witness: Multiset | None = None
-        current, profile = ms, self.g_profile(ms)
+        current = ms
         while True:
+            profile = self.g_profile(current)
             k = len(current)
             value = profile.ncd1()
             if best_value is None or value > best_value:
@@ -314,12 +317,10 @@ class NcdCalculator:
             if k == 2:
                 chain.append(ChainStep(k, value, None))
                 break
-            loo, singles = profile.g_leave_one_out, profile.g_singletons
+            loo = profile.g_leave_one_out
             removed = max(range(k), key=lambda i: (loo[i], -i))
             chain.append(ChainStep(k, value, current[removed].id))
             current = current.remove_at(removed)
-            next_loo = tuple(self._sizes([current.remove_at(i) for i in range(k - 1)]))
-            profile = GProfile(loo[removed], singles[:removed] + singles[removed + 1 :], next_loo)
         assert best_value is not None
         return HeuristicResult(NcdValue(best_value, "heuristic", best_witness), tuple(chain))
 

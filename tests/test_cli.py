@@ -529,6 +529,10 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         ("pgm-width-not-a-number", 1),
         ("pgm-without-maxval", 1),
         ("idx-bad-magic", 1),
+        ("pgm-maxval-0", 1),
+        ("pgm-pixel-above-maxval", 1),
+        ("limit--1", 2),
+        ("limit-0", 2),
     ],
 )
 def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
@@ -538,9 +542,13 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         "empty-pgm": b"P5\n0 0\n255\n",
         "pgm-width-not-a-number": b"P5\nx 8\n255\n" + pixels,
         "pgm-without-maxval": b"P5\n8 8\n",
+        "pgm-maxval-0": b"P5 2 1 0\n\x05\x07",
+        "pgm-pixel-above-maxval": b"P5\n8 8\n62\n" + pixels,
     }.get(case, b"P5\n8 8\n255\n" + pixels))
     idx = tmp_path / "digits.idx"
     idx.write_bytes(b"\x00\x00\x08\x01" + (1).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + b"\x00" * 4)
+    good_idx = tmp_path / "three.idx"
+    good_idx.write_bytes(b"\x00\x00\x08\x03" + (3).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + bytes(12))
     flags = {
         "scale-0": [str(pgm), "--scale", "0"],
         "truncated-pgm": [str(pgm)],
@@ -548,6 +556,10 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         "pgm-width-not-a-number": [str(pgm)],
         "pgm-without-maxval": [str(pgm)],
         "idx-bad-magic": ["--idx", str(idx)],
+        "pgm-maxval-0": [str(pgm)],
+        "pgm-pixel-above-maxval": [str(pgm)],
+        "limit--1": ["--idx", str(good_idx), "--limit", "-1"],
+        "limit-0": ["--idx", str(good_idx), "--limit", "0"],
     }[case]
     out = tmp_path / "bits"
     code, report, err = run(capsys, "image2bits", "--out", str(out), *flags)
@@ -557,4 +569,8 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         assert err.startswith(f"error: {pgm}: PGM width must be a decimal number, got 'x'")
     if case == "pgm-without-maxval":
         assert err.startswith(f"error: {pgm}: PGM maxval must be a decimal number, got ''")
+    if case in ("pgm-maxval-0", "pgm-pixel-above-maxval"):
+        assert err.startswith(f"error: {pgm}: ")
+    if case.startswith("limit-"):
+        assert err.startswith("usage error: --limit must be >= 1")
     assert not out.exists()

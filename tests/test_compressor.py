@@ -70,9 +70,6 @@ def test_compress_len_deterministic():
 
 
 def test_backend_kinds_and_names():
-    assert Bz2Backend().kind == "bwt-block-family"
-    assert ZlibBackend().kind == "deflate-family"
-    assert ExternalBackend(["cat"]).kind == "external-command"
     assert get_backend("bz2").name == "bz2-9"
     assert get_backend("zlib:9").level == 9
     assert get_backend("cmd:gzip -9").argv == ("gzip", "-9")
@@ -429,6 +426,19 @@ def test_normality_determinism_probe_covers_checkpoints(mode):
     )
     for violation in report.violations["determinism"]:
         assert violation.slack == 1 and violation.tolerance == 0
+
+
+def test_normality_samples_at_most_the_module_caps():
+    corpus = [random_text_element(50 + i, 96, f"n{i:02d}") for i in range(60)]
+    report = normality_report(ZlibBackend(), corpus, max_pairs=7, seed=5)
+    # compressor-check's key order, which its JSON report has always had
+    assert list(report.checks) == [
+        "determinism", "idempotency", "symmetry", "monotonicity", "distributivity"
+    ]
+    assert report.checks["idempotency"] == compressor.SAMPLED_SINGLETONS == 50
+    assert report.checks["distributivity"] == compressor.SAMPLED_TRIPLES == 50
+    assert report.checks["determinism"] == 50 + 7
+    assert report.checks["symmetry"] == 7 and report.checks["monotonicity"] == 14
 
 
 def test_normality_empty_corpus_rejected():

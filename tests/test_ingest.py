@@ -95,14 +95,14 @@ def test_quantize_matches_the_per_symbol_loop(n_symbols, width, train):
 
 def test_constant_series_single_symbol():
     ts = TimeSeries(np.full((50, 1), 3.7), name="const")
-    element = quantize_timeseries(ts, n_symbols=4)
+    element = quantize_timeseries(ts, fit_quantizer([ts], 4))
     assert len(set(element.data)) == 1
     assert len(element.data) == 50
 
 
 def test_equal_frequency_split_one_to_ten():
     ts = TimeSeries(np.arange(1.0, 11.0)[:, None], name="ramp")
-    element = quantize_timeseries(ts, n_symbols=2)
+    element = quantize_timeseries(ts, fit_quantizer([ts], 2))
     symbols = element.data
     assert symbols[:5] == symbols[0:1] * 5
     assert symbols[5:] == symbols[5:6] * 5
@@ -118,15 +118,15 @@ def test_monotone_transform_invariance():
         np.column_stack([np.exp(values[:, 0]), values[:, 1] * 7 - 2, values[:, 2] ** 3]),
         name="b",
     )
-    a = quantize_timeseries(ts, n_symbols=5)
-    b = quantize_timeseries(transformed, n_symbols=5)
+    a = quantize_timeseries(ts, fit_quantizer([ts], 5))
+    b = quantize_timeseries(transformed, fit_quantizer([transformed], 5))
     assert a.data == b.data
 
 
 def test_feature_offsets_disjoint_when_capacity_allows():
     rng = np.random.default_rng(2)
     ts = TimeSeries(rng.normal(size=(80, 3)), name="x")
-    element = quantize_timeseries(ts, n_symbols=4)
+    element = quantize_timeseries(ts, fit_quantizer([ts], 4))
     per_feature = [set(element.data[d::3]) for d in range(3)]
     assert per_feature[0].isdisjoint(per_feature[1])
     assert per_feature[1].isdisjoint(per_feature[2])
@@ -135,7 +135,7 @@ def test_feature_offsets_disjoint_when_capacity_allows():
 def test_time_major_layout():
     values = np.array([[0.0, 100.0], [10.0, 0.0]])
     ts = TimeSeries(values, name="x")
-    element = quantize_timeseries(ts, n_symbols=2)
+    element = quantize_timeseries(ts, fit_quantizer([ts], 2))
     # row 0: feature0 low, feature1 high; row 1: the reverse
     assert len(element.data) == 4
     assert element.data[0:2] != element.data[2:4]
@@ -155,18 +155,16 @@ def test_corpus_fitted_edges_shared():
 def test_quantizer_validation():
     ts = TimeSeries(np.zeros((5, 1)), name="x")
     with pytest.raises(ValueError):
-        quantize_timeseries(ts, n_symbols=1)
+        quantize_timeseries(ts, fit_quantizer([ts], 1))
     with pytest.raises(ValueError):
-        quantize_timeseries(ts, n_symbols=65)
+        quantize_timeseries(ts, fit_quantizer([ts], 65))
+    with pytest.raises(TypeError):
+        quantize_timeseries(ts)  # no quantizer
     with pytest.raises(ValueError):
-        quantize_timeseries(ts)  # neither n_symbols nor quantizer
-    with pytest.raises(ValueError):
-        quantize_timeseries(TimeSeries(np.full((3, 1), np.nan), name="bad"), n_symbols=2)
+        quantize_timeseries(TimeSeries(np.full((3, 1), np.nan), name="bad"), fit_quantizer([ts], 2))
     q = fit_quantizer([TimeSeries(np.zeros((5, 2)), name="f")], 4)
     with pytest.raises(ValueError):
         quantize_timeseries(ts, quantizer=q)  # feature count mismatch
-    with pytest.raises(ValueError):
-        quantize_timeseries(ts, n_symbols=8, quantizer=q)  # disagreeing n
 
 
 def test_quantizer_config_names_a_missing_field():
@@ -291,6 +289,17 @@ def test_read_pgm(tmp_path):
         read_pgm(bad)
 
 
+@pytest.mark.parametrize(
+    "header, raster",
+    [(b"P5 2 1 0\n", b"\x05\x07"), (b"P5\n2 2\n200\n", bytes([0, 200, 201, 3]))],
+)
+def test_read_pgm_refuses_a_pixel_above_maxval(tmp_path, header, raster):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(header + raster)
+    with pytest.raises(ValueError, match=f"^{path}: .*maxval"):
+        read_pgm(path)
+
+
 def test_read_idx_images(tmp_path):
     rng = np.random.default_rng(7)
     raw = rng.integers(0, 256, size=(5, 28, 28), dtype=np.uint8)
@@ -303,6 +312,9 @@ def test_read_idx_images(tmp_path):
     assert np.array_equal(images[2].pixels, raw[2])
     assert images[2].name == "digits-00002"
     assert len(read_idx_images(path, limit=3)) == 3
+    assert read_idx_images(path, limit=0) == []
+    with pytest.raises(ValueError, match="limit"):
+        read_idx_images(path, limit=-1)
     with pytest.raises(ValueError):
         bad = tmp_path / "bad.idx"
         bad.write_bytes(b"\x00\x00\x08\x01" + b"\x00" * 12)

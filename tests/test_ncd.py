@@ -318,6 +318,38 @@ def test_heuristic_job_budget(bz2_calc):
     assert cache.job_count <= n * (n + 1) // 2 + 2 * n
 
 
+@given(pooled_texts, st.data(), st.sampled_from([1, 2]))
+@settings(max_examples=40, deadline=None)
+def test_heuristic_equals_a_greedy_loop_over_g(texts, data, jobs):
+    # copies of one text under other ids give equal sizes, so ties are common
+    pool = [Element(t.encode(), f"{copy}{i}") for i, t in enumerate(texts) for copy in "ab"]
+    members = st.lists(st.sampled_from(pool), min_size=2, max_size=6, unique_by=lambda e: e.id)
+    ms = Multiset(data.draw(members))
+    calc = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
+    result = calc.ncd_heuristic(ms)
+
+    oracle = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=1)
+    chain, best, witness, current = [], None, None, ms
+    while True:
+        k = len(current)
+        singles = [oracle.g(Multiset([e])) for e in current]
+        loo = [oracle.g(current.remove_at(i)) for i in range(k)]
+        value = (oracle.g(current) - min(singles)) / max(loo)
+        if best is None or value > best:
+            best, witness = value, current
+        if k == 2:
+            chain.append((k, value, None))
+            break
+        removed = max(range(k), key=lambda i: (loo[i], -i))
+        chain.append((k, value, current[removed].id))
+        current = current.remove_at(removed)
+
+    assert [(step.cardinality, step.ncd1, step.removed_id) for step in result.chain] == chain
+    assert result.ncd.value == best
+    assert result.ncd.witness.ids() == witness.ids()
+    assert calc.cache.job_count == oracle.cache.job_count
+
+
 def test_heuristic_report_dict(bz2_calc):
     result = bz2_calc.ncd_heuristic(mixed_multiset(16, 3))
     d = result.to_dict()
