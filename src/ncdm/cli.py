@@ -7,6 +7,20 @@ malformed data file (``error: ...``); 2 on a usage error (``usage error:
 any work. ``--jobs`` bounds the worker pool and can only change wall time,
 so it is not echoed into reports.
 
+Every report starts with ``"command"``. The subcommands that compress
+(``pair``, ``multiset``, ``matrix``, ``classify``, ``loocv``, ``partition``)
+then give ``"config"``: the backend name, the framing and the subcommand's
+own settings. All but ``loocv`` end with ``"compression_jobs"``, the number
+of sizes compressed rather than answered by the cache, counted after all
+work. A ``loocv`` report reads the same byte for byte whatever the cache
+holds, so a warm replay can be checked against a cold run.
+
+The output paths ``--cache``, ``--csv`` and ``--save-config`` must not name a
+directory and must lie in an existing one; ``--out`` must not name a file or
+lie under one. Any other path is refused as a usage error (exit 2), naming
+the flag, before any input is read. An ``OSError`` while writing an output
+is a usage error too.
+
 A ``--cache`` snapshot starts with the line ``# ncdm-sizes v2 BACKEND``
 followed by one ``sha256-hex<TAB>size`` record per line. A record's digest is
 the SHA-256 of its size request: the framing mode, then the SHA-256 of each
@@ -14,9 +28,7 @@ element in canonical order, so a snapshot written under one ``--framing``
 answers nothing under the other. Sizes depend on the backend, so a snapshot
 written by another backend or an earlier version, or one that is missing the
 header or holds a line that does not parse, is a usage error (exit 2).
-So is a ``--cache`` path that names a directory or lies in a missing
-directory (refused before any work is done), and one that cannot be read or
-written.
+So is a snapshot that cannot be read.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from pathlib import Path
 
 from . import __version__
 from .classify import METHODS, TestItem, classify_items, loocv
-from .compressor import CompressorBackend, SizeCache, get_backend, normality_report
+from .compressor import FRAMING_MODES, CompressorBackend, SizeCache, get_backend, normality_report
 from .datagen import CellModelParams, simulate_population, write_population
 from .errors import CorpusError, NcdmError
 from .ingest import (
@@ -63,6 +75,30 @@ def _reraise(error: type[Exception], caught: type[Exception] | tuple = ValueErro
         yield
     except caught as exc:
         raise error(str(exc)) from exc
+
+
+@contextmanager
+def _writing(flag: str, path: str | Path):
+    """Report an ``OSError`` while writing an output as a usage error naming its flag."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {flag} {path}: {exc}") from exc
+
+
+# Output flags, checked by ``main`` before any handler runs; True marks a
+# directory that is made on demand, False a file written in an existing one.
+OUTPUTS = {"--cache": False, "--csv": False, "--save-config": False, "--out": True}
+
+
+def _check_output(flag: str, raw: str, directory: bool) -> None:
+    path = Path(raw)
+    if directory:
+        nearest = next(p for p in (path, *path.parents) if p.exists())
+        if not nearest.is_dir():
+            raise UsageError(f"{flag} {path} is a file or lies under one")
+    elif path.is_dir() or not path.parent.is_dir():
+        raise UsageError(f"{flag} {path} is a directory or lies in a missing one")
 
 
 def _require_file(path: str) -> Path:
@@ -105,7 +141,7 @@ def _add_backend(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--framing",
-        choices=("text", "varint"),
+        choices=FRAMING_MODES,
         default="text",
         help="element framing; use varint for binary inputs (default: text)",
     )
@@ -129,31 +165,33 @@ def _backend(args: argparse.Namespace) -> CompressorBackend:
         return get_backend(args.backend or os.environ.get(BACKEND_ENV) or "bz2")
 
 
-def _with_calc(handler):
-    """Run ``handler(args, calc)``; load the ``--cache`` snapshot before, save it after."""
+def _with_calc(handler, count_jobs: bool = True):
+    """Run ``handler(args, calc)`` between loading and saving the ``--cache``
+    snapshot, and frame its report.
+
+    The handler returns ``(echo, payload, summary)``; the report is the config
+    (backend, framing, then ``echo``), the payload, and, if ``count_jobs``,
+    the compression job count, read after all of the handler's work.
+    """
 
     def run(args: argparse.Namespace) -> tuple[dict, str]:
         backend = _backend(args)
         cache = SizeCache()
         snapshot = Path(args.cache) if args.cache else None
-        if snapshot is not None and (snapshot.is_dir() or not snapshot.parent.is_dir()):
-            raise UsageError(f"--cache {snapshot} is a directory or lies in a missing one")
         if snapshot is not None and snapshot.is_file():
             with _reraise(UsageError, (OSError, ValueError)):
                 cache.load(snapshot, backend.name)
-        result = handler(args, NcdCalculator(backend, mode=args.framing, cache=cache, jobs=args.jobs))
+        calc = NcdCalculator(backend, mode=args.framing, cache=cache, jobs=args.jobs)
+        echo, payload, summary = handler(args, calc)
         if snapshot is not None:
-            try:
+            with _writing("--cache", snapshot):
                 cache.save(snapshot, backend.name)
-            except OSError as exc:
-                raise UsageError(f"cannot write --cache {snapshot}: {exc}") from exc
-        return result
+        report = {"config": {"backend": backend.name, "framing": calc.mode, **echo}, **payload}
+        if count_jobs:
+            report["compression_jobs"] = cache.job_count
+        return report, summary
 
     return run
-
-
-def _config_echo(calc: NcdCalculator, **extra) -> dict:
-    return {"backend": calc.backend.name, "framing": calc.mode, **extra}
 
 
 def _normalize_method(raw: str) -> str:
@@ -175,22 +213,15 @@ def _parse_min_size(raw: str) -> int | float:
 # -- subcommand handlers -----------------------------------------------
 
 
-def _cmd_pair(args, calc: NcdCalculator) -> tuple[dict, str]:
+def _cmd_pair(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     x = _read_element(_require_file(args.file1))
     y = _read_element(_require_file(args.file2))
     result = calc.ncd_pairwise(x, y)
-    report = {
-        "command": "pair",
-        "config": _config_echo(calc),
-        "formula": result.formula,
-        "value": result.value,
-        "elements": [x.id, y.id],
-        "compression_jobs": calc.cache.job_count,
-    }
-    return report, f"pairwise distance {result.value:.6f}"
+    payload = {"formula": result.formula, "value": result.value, "elements": [x.id, y.id]}
+    return {}, payload, f"pairwise distance {result.value:.6f}"
 
 
-def _cmd_multiset(args, calc: NcdCalculator) -> tuple[dict, str]:
+def _cmd_multiset(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     ms = Multiset(_gather_elements(args.inputs))
     if args.exact:
         result = calc.ncd_exact(ms, max_card=args.max_card)
@@ -209,31 +240,19 @@ def _cmd_multiset(args, calc: NcdCalculator) -> tuple[dict, str]:
         heuristic = calc.ncd_heuristic(ms)
         payload = heuristic.to_dict()
         summary = f"heuristic distance {heuristic.ncd.value:.6f} over {len(ms)} elements"
-    report = {
-        "command": "multiset",
-        "config": _config_echo(calc, elements=list(ms.ids())),
-        **payload,
-        "compression_jobs": calc.cache.job_count,
-    }
-    return report, summary
+    return {"elements": list(ms.ids())}, payload, summary
 
 
-def _cmd_matrix(args, calc: NcdCalculator) -> tuple[dict, str]:
+def _cmd_matrix(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     dm = calc.distance_matrix(_gather_elements(args.inputs))
     if args.csv:
-        Path(args.csv).write_text(dm.to_csv())
-    report = {
-        "command": "matrix",
-        "config": _config_echo(calc),
-        "labels": list(dm.labels),
-        "values": dm.values.tolist(),
-        "csv": args.csv,
-        "compression_jobs": calc.cache.job_count,
-    }
-    return report, f"{len(dm.labels)}x{len(dm.labels)} distance matrix"
+        with _writing("--csv", args.csv):
+            Path(args.csv).write_text(dm.to_csv())
+    payload = {"labels": list(dm.labels), "values": dm.values.tolist(), "csv": args.csv}
+    return {}, payload, f"{len(dm.labels)}x{len(dm.labels)} distance matrix"
 
 
-def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, str]:
+def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     method = _normalize_method(args.method)
     corpus = load_corpus(_require_dir(args.classes), args.test)
     items = list(corpus.test_items)
@@ -242,33 +261,24 @@ def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, str]:
     if not items:
         raise UsageError("no items to classify; pass files or --test")
     results = classify_items(calc, [(item, corpus.classes) for item in items], method)
-    report = {
-        "command": "classify",
-        "config": _config_echo(calc, method=method, classes=sorted(corpus.classes)),
-        "items": [result.to_dict() for result in results],
-        "compression_jobs": calc.cache.job_count,
-    }
+    echo = {"method": method, "classes": sorted(corpus.classes)}
+    payload = {"items": [result.to_dict() for result in results]}
     summary = f"classified {len(results)} items with {method}"
     labeled = [result for result in results if result.true_label is not None]
     if labeled:
         correct = sum(result.predicted == result.true_label for result in labeled)
         summary += f"; {correct}/{len(labeled)} labeled items correct"
-    return report, summary
+    return echo, payload, summary
 
 
-def _cmd_loocv(args, calc: NcdCalculator) -> tuple[dict, str]:
+def _cmd_loocv(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     method = _normalize_method(args.method)
     corpus = load_corpus(_require_dir(args.classes))
     result = loocv(calc, corpus, method=method, seed=args.seed)
-    report = {
-        "command": "loocv",
-        "config": _config_echo(calc, method=method, seed=args.seed),
-        **result.to_dict(),
-    }
-    return report, result.summary()
+    return {"method": method, "seed": args.seed}, result.to_dict(), result.summary()
 
 
-def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, str]:
+def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     with _reraise(UsageError):
         cfg = PartitionConfig(
             restarts=args.restarts,
@@ -290,8 +300,7 @@ def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, str]:
             "distances": min_class_distances(calc, element, tree, k=args.k),
         }
     n_leaves = sum(len(tree.leaves(label)) for label in tree.roots)
-    report = {"command": "partition", "config": _config_echo(calc), **payload}
-    return report, f"partitioned {len(classes)} classes into {n_leaves} leaves"
+    return {}, payload, f"partitioned {len(classes)} classes into {n_leaves} leaves"
 
 
 def _cmd_gen_synthetic(args) -> tuple[dict, str]:
@@ -303,8 +312,9 @@ def _cmd_gen_synthetic(args) -> tuple[dict, str]:
             seed=args.seed,
         )
         tracks = simulate_population(params, args.cells)  # checks its arguments first
-    manifest = write_population(tracks, args.out, params)
-    report = {"command": "gen-synthetic", "out": str(args.out), **manifest}
+    with _writing("--out", args.out):
+        manifest = write_population(tracks, args.out, params)
+    report = {"out": str(args.out), **manifest}
     return report, f"wrote {len(tracks)} cell tracks to {args.out}"
 
 
@@ -321,7 +331,6 @@ def _cmd_compressor_check(args) -> tuple[dict, str]:
             mode=args.framing,
         )
     report = {
-        "command": "compressor-check",
         "config": {"backend": backend.name, "framing": args.framing, "seed": args.seed},
         **result.to_dict(),
     }
@@ -350,22 +359,17 @@ def _cmd_quantize(args) -> tuple[dict, str]:
             quantizer = fit_quantizer(series, args.symbols)
         elements = [quantize_timeseries(ts, quantizer=quantizer) for ts in series]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for ts, element in zip(series, elements):
-        target = out_dir / (Path(ts.name).stem + ".sym")
-        target.write_bytes(element.data)
-        written.append(str(target))
-    config_path = None
+    with _writing("--out", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for ts, element in zip(series, elements):
+            target = out_dir / (Path(ts.name).stem + ".sym")
+            target.write_bytes(element.data)
+            written.append(str(target))
     if args.save_config:
-        Path(args.save_config).write_text(quantizer.to_json() + "\n")
-        config_path = args.save_config
-    report = {
-        "command": "quantize",
-        "n_symbols": quantizer.n_symbols,
-        "config": config_path,
-        "files": written,
-    }
+        with _writing("--save-config", args.save_config):
+            Path(args.save_config).write_text(quantizer.to_json() + "\n")
+    report = {"n_symbols": quantizer.n_symbols, "config": args.save_config, "files": written}
     return report, f"quantized {len(written)} series with {quantizer.n_symbols} symbols"
 
 
@@ -385,13 +389,14 @@ def _cmd_image2bits(args) -> tuple[dict, str]:
     with _reraise(CorpusError):  # an image with no pixels
         elements = [image_to_bitstream(img, scale=args.scale) for img in images]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for img, element in zip(images, elements):
-        target = out_dir / (Path(img.name).stem + ".bits")
-        target.write_bytes(element.data)
-        written.append({"file": str(target), "length": len(element.data)})
-    report = {"command": "image2bits", "scale": args.scale, "files": written}
+    with _writing("--out", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for img, element in zip(images, elements):
+            target = out_dir / (Path(img.name).stem + ".bits")
+            target.write_bytes(element.data)
+            written.append({"file": str(target), "length": len(element.data)})
+    report = {"scale": args.scale, "files": written}
     return report, f"binarized {len(written)} images at scale {args.scale}"
 
 
@@ -438,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="delta")
     p.add_argument("--seed", type=int, default=None, help="echoed into the report")
     _add_common(p)
-    p.set_defaults(handler=_with_calc(_cmd_loocv))
+    p.set_defaults(handler=_with_calc(_cmd_loocv, count_jobs=False))
 
     p = subs.add_parser("partition", help="margin-guided recursive bipartitioning")
     p.add_argument("--classes", required=True)
@@ -492,6 +497,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for flag, directory in OUTPUTS.items():
+            raw = getattr(args, flag[2:].replace("-", "_"), None)
+            if raw is not None:
+                _check_output(flag, raw, directory)
         report, summary = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -499,7 +508,7 @@ def main(argv: list[str] | None = None) -> int:
     except NcdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps(report, indent=2))
+    print(json.dumps({"command": args.command, **report}, indent=2))
     print(summary, file=sys.stderr)
     return 0
 

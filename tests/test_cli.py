@@ -1,11 +1,20 @@
 import json
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ncdm.compressor
-from ncdm import NcdCalculator
+from ncdm import (
+    Element,
+    NcdCalculator,
+    PartitionConfig,
+    get_backend,
+    load_corpus,
+    min_class_distances,
+    recursive_partition,
+)
 from ncdm.cli import main
 
 from .conftest import ALPHABET_A, ALPHABET_B, make_vocab, fragment_elements
@@ -216,6 +225,67 @@ def test_partition_tree_json(tmp_path, capsys):
     assert report["rng"] == "numpy-pcg64"
 
 
+# -- the report frame ---------------------------------------------------------
+
+
+def _frame_argv(command, root, item):
+    return {
+        "pair": ["pair", str(item), str(next((root / "alpha").iterdir()))],
+        "multiset": ["multiset", str(root / "alpha")],
+        "matrix": ["matrix", str(root / "beta")],
+        "classify": ["classify", str(item), "--classes", str(root)],
+        "loocv": ["loocv", "--classes", str(root)],
+        "partition": ["partition", "--classes", str(root), "--item", str(item)],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["pair", "multiset", "matrix", "classify", "loocv", "partition"])
+def test_every_compressing_report_has_one_frame(tmp_path, capsys, command):
+    root = write_class_dirs(tmp_path, per_class=4, n_words=40)
+    item = tmp_path / "item.txt"
+    item.write_bytes(b"an item to score " * 10)
+    code, report, _ = run(capsys, *_frame_argv(command, root, item), "--backend", "zlib")
+    assert code == 0
+    keys = list(report)
+    assert keys[:2] == ["command", "config"]
+    assert report["command"] == command
+    assert list(report["config"])[:2] == ["backend", "framing"]
+    if command == "loocv":
+        assert "compression_jobs" not in report
+    else:
+        assert keys[-1] == "compression_jobs" and report["compression_jobs"] > 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_partition_compression_jobs_counts_the_whole_run(tmp_path, capsys, jobs):
+    root = write_class_dirs(tmp_path, per_class=4, n_words=40)
+    item = tmp_path / "item.txt"
+    item.write_bytes(b"an item to score " * 10)
+    argv = [*_frame_argv("partition", root, item), "--backend", "zlib", "--jobs", str(jobs)]
+    cache = ["--cache", str(tmp_path / "sizes.tsv")]
+    code, cold, _ = run(capsys, *argv, *cache)
+    assert code == 0
+    calc = NcdCalculator(get_backend("zlib"), jobs=jobs)
+    tree = recursive_partition(calc, load_corpus(root).classes, PartitionConfig(min_size=2))
+    min_class_distances(calc, Element(item.read_bytes(), id=str(item)), tree, k=2)
+    assert cold["compression_jobs"] == calc.cache.job_count > 0  # --item scoring included
+    code, warm, _ = run(capsys, *argv, *cache)
+    assert code == 0 and warm["compression_jobs"] == 0
+    assert {**warm, "compression_jobs": cold["compression_jobs"]} == cold
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_loocv_report_does_not_depend_on_the_cache(tmp_path, capsys, jobs):
+    root = write_class_dirs(tmp_path, per_class=4, n_words=40)
+    argv = ["loocv", "--classes", str(root), "--backend", "zlib", "--jobs", str(jobs)]
+    cache = ["--cache", str(tmp_path / "sizes.tsv")]
+    outputs = []
+    for _ in range(2):  # cold, then a warm replay
+        assert main([*argv, *cache]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_gen_synthetic_writes_population(tmp_path, capsys):
     out = tmp_path / "cells"
     code, report, err = run(
@@ -292,8 +362,6 @@ def test_quantize_and_config_round_trip(tmp_path, capsys):
     )
     assert code2 == 0
     for f1, f2 in zip(report["files"], report2["files"]):
-        from pathlib import Path
-
         assert Path(f1).read_bytes() == Path(f2).read_bytes()
 
 
@@ -574,3 +642,61 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
     if case.startswith("limit-"):
         assert err.startswith("usage error: --limit must be >= 1")
     assert not out.exists()
+
+
+# -- output paths ----------------------------------------------------------------
+
+
+def _tree(root):
+    return {str(p): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+@pytest.mark.parametrize(
+    "command, flag, target",
+    [
+        ("matrix", "--csv", "missing-dir"),
+        ("matrix", "--csv", "is-a-dir"),
+        ("quantize", "--save-config", "missing-dir"),
+        ("quantize", "--save-config", "is-a-dir"),
+        ("quantize", "--out", "is-a-file"),
+        ("image2bits", "--out", "is-a-file"),
+        ("image2bits", "--out", "under-a-file"),
+        ("gen-synthetic", "--out", "is-a-file"),
+    ],
+)
+def test_bad_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, flag, target):
+    (tmp_path / "a.txt").write_bytes(b"some shared words here " * 30)
+    (tmp_path / "b.txt").write_bytes(b"other words, not shared " * 30)
+    (tmp_path / "s.csv").write_text("f0,f1\n0.5,1.5\n2.5,3.5\n")
+    (tmp_path / "img.pgm").write_bytes(b"P5\n8 8\n255\n" + bytes(range(64)))
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "afile").write_bytes(b"keep me")
+    path = {
+        "missing-dir": tmp_path / "nodir" / "x",
+        "is-a-dir": tmp_path / "adir",
+        "is-a-file": tmp_path / "afile",
+        "under-a-file": tmp_path / "afile" / "sub",
+    }[target]
+    argv = {
+        "matrix": ["matrix", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--backend", "zlib"],
+        "quantize": ["quantize", str(tmp_path / "s.csv"), "--out", str(tmp_path / "q")],
+        "image2bits": ["image2bits", str(tmp_path / "img.pgm")],
+        "gen-synthetic": ["gen-synthetic", "--upsilon", "3", "--cells", "2"],
+    }[command]
+    before = _tree(tmp_path)
+    calls = _count_compressions(monkeypatch)
+    code, report, err = run(capsys, *argv, flag, str(path))
+    assert code == 2 and report is None
+    assert err.startswith(f"usage error: {flag} {path} ") and "Traceback" not in err
+    assert calls == []
+    assert _tree(tmp_path) == before  # nothing written, nothing left behind
+
+
+@pytest.mark.skipif(not Path("/dev/full").exists(), reason="needs a device that refuses writes")
+def test_failed_write_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "a.txt").write_bytes(b"some shared words here " * 30)
+    (tmp_path / "b.txt").write_bytes(b"other words, not shared " * 30)
+    argv = ["matrix", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--backend", "zlib"]
+    code, report, err = run(capsys, *argv, "--csv", "/dev/full")
+    assert code == 2 and report is None
+    assert err.startswith("usage error: cannot write --csv /dev/full: ") and "Traceback" not in err
