@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,10 +61,10 @@ class CellModelParams:
 
     def __post_init__(self) -> None:
         for name in ("lifespan_shape", "lifespan_scale", "r0_shape", "r0_scale"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # NaN too
                 raise ValueError(f"{name} must be > 0")
-        if self.upsilon <= 0:
-            raise ValueError("upsilon must be > 0")
+        if not 0 < self.upsilon < math.inf:
+            raise ValueError(f"upsilon must be positive and finite, got {self.upsilon}")
         lo, hi = self.track_len_range
         if not 2 <= lo <= hi:
             raise ValueError("track_len_range must satisfy 2 <= lo <= hi")

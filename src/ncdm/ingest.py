@@ -10,6 +10,7 @@ streams.
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -191,21 +192,25 @@ def image_to_bitstream(img: GrayImage, scale: int = 4) -> Element:
 
 
 def read_timeseries_csv(path: str | Path) -> TimeSeries:
-    """CSV with an optional header row of feature names."""
+    """CSV with an optional header row of feature names; an error names the file."""
     path = Path(path)
-    with path.open() as fh:
-        first = fh.readline()
     names: tuple[str, ...] = ()
     skip = 0
-    fields = [f.strip() for f in first.strip().split(",")]
     try:
-        [float(f) for f in fields]
-    except ValueError:
-        names = tuple(fields)
-        skip = 1
-    try:
-        values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-    except ValueError as exc:
+        with path.open() as fh:
+            first = fh.readline()
+        fields = [f.strip() for f in first.strip().split(",")]
+        try:
+            [float(f) for f in fields]
+        except ValueError:
+            names = tuple(fields)
+            skip = 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file with no rows, refused below
+            values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+        if values.size == 0:
+            raise ValueError("no data rows")
+    except ValueError as exc:  # UnicodeDecodeError included
         raise ValueError(f"{path}: {exc}") from None
     return TimeSeries(values=values, feature_names=names, name=path.name)
 

@@ -278,7 +278,10 @@ def recursive_partition(
     A node becomes an accepted leaf when it is too small to split, or when
     the best split's margin does not exceed ``stop_margin``, or when a side
     would fall below the minimum size resolved against the original class.
+    A given ``stop_margin`` must be finite.
     """
+    if stop_margin is not None and not math.isfinite(stop_margin):
+        raise ValueError(f"stop_margin must be finite, got {stop_margin}")
     if stop_margin is None:
         stop_margin = min_inter_class_margin(calc, classes)
     roots: dict[str, PartitionNode] = {}

@@ -512,22 +512,47 @@ def _count_compressions(monkeypatch) -> list[int]:
         ["--restarts", "0"],
         ["--max-iters", "0"],
         ["-k", "0", "--item", "ITEM"],
+        ["--stop-margin", "nan"],
+        ["--stop-margin", "inf"],
+        ["--item", "MISSING"],
     ],
-    ids=["min-size-abc", "min-size-1", "min-size-0%", "min-size-150%", "restarts-0", "max-iters-0", "k-0"],
+    ids=[
+        "min-size-abc",
+        "min-size-1",
+        "min-size-0%",
+        "min-size-150%",
+        "restarts-0",
+        "max-iters-0",
+        "k-0",
+        "stop-margin-nan",
+        "stop-margin-inf",
+        "item-missing",
+    ],
 )
 def test_partition_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, flags):
     root = write_class_dirs(tmp_path, per_class=4, n_words=40)
     item = tmp_path / "item.txt"
     item.write_bytes(b"an item to score " * 10)
     calls = _count_compressions(monkeypatch)
-    flags = [str(item) if f == "ITEM" else f for f in flags]
+    flags = [{"ITEM": str(item), "MISSING": str(tmp_path / "missing.txt")}.get(f, f) for f in flags]
     code, report, err = run(capsys, "partition", "--classes", str(root), "--backend", "zlib", *flags)
     assert code == 2 and report is None
     assert err.startswith("usage error:")
     assert calls == []
+    assert flags[0] in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [["--upsilon", "-1"], ["--cells", "0"]], ids=["upsilon", "cells"])
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--upsilon", "-1"],
+        ["--cells", "0"],
+        ["--upsilon", "nan"],
+        ["--upsilon", "inf"],
+        ["--population-limit", "0"],
+    ],
+    ids=["upsilon", "cells", "upsilon-nan", "upsilon-inf", "population-limit-0"],
+)
 def test_gen_synthetic_bad_flag_is_a_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "cells"
     argv = ["gen-synthetic", "--upsilon", "3", "--cells", "4", "--out", str(out), *flags]
@@ -535,9 +560,12 @@ def test_gen_synthetic_bad_flag_is_a_usage_error(tmp_path, capsys, flags):
     assert code == 2 and report is None
     assert err.startswith("usage error:")
     assert not out.exists()
+    assert flags[0] in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [["--max-pairs", "-1"]], ids=["max-pairs"])
+@pytest.mark.parametrize(
+    "flags", [["--max-pairs", "-1"], ["--tolerance", "-1"]], ids=["max-pairs", "tolerance"]
+)
 def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
     tmp_path, capsys, monkeypatch, flags
 ):
@@ -550,6 +578,7 @@ def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
     assert code == 2 and report is None
     assert err.startswith("usage error:")
     assert calls == []
+    assert flags[0] in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -560,11 +589,17 @@ def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
         ("config-without-n_symbols", 1),
         ("config-not-an-object", 1),
         ("csv-with-a-word", 1),
+        ("csv-not-utf-8", 1),
+        ("csv-header-only", 1),
     ],
 )
 def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
     csv = tmp_path / "s.csv"
     csv.write_text("f0,f1\n0.5,1.5\n2.5,3.5\n" + ("abc,1.0\n" if case == "csv-with-a-word" else ""))
+    if case == "csv-not-utf-8":
+        csv.write_bytes(b"f0,f1\n\xff,1.5\n")
+    if case == "csv-header-only":
+        csv.write_text("f0,f1\n")
     config = tmp_path / "quant.json"
     if case == "config-without-n_symbols":
         config.write_text(json.dumps({"edges": [[1.0], [2.0]]}))
@@ -576,6 +611,8 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         "config-without-n_symbols": ["--config", str(config)],
         "config-not-an-object": ["--config", str(config)],
         "csv-with-a-word": [],
+        "csv-not-utf-8": [],
+        "csv-header-only": [],
     }[case]
     out = tmp_path / "symbols"
     code, report, err = run(capsys, "quantize", str(csv), "--out", str(out), *flags)
@@ -586,6 +623,8 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
     if case == "csv-with-a-word":
         assert err.startswith(f"error: {csv}: could not convert string 'abc'")
     assert not out.exists()
+    if case.startswith("csv-"):
+        assert err.startswith(f"error: {csv}: ") and len(err.splitlines()) == 1  # no warning
 
 
 @pytest.mark.parametrize(
@@ -601,6 +640,7 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         ("pgm-pixel-above-maxval", 1),
         ("limit--1", 2),
         ("limit-0", 2),
+        ("two-pgms-one-output", 2),
     ],
 )
 def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
@@ -617,6 +657,9 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
     idx.write_bytes(b"\x00\x00\x08\x01" + (1).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + b"\x00" * 4)
     good_idx = tmp_path / "three.idx"
     good_idx.write_bytes(b"\x00\x00\x08\x03" + (3).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + bytes(12))
+    other = tmp_path / "d2" / "img.pgm"
+    other.parent.mkdir()
+    other.write_bytes(pgm.read_bytes())
     flags = {
         "scale-0": [str(pgm), "--scale", "0"],
         "truncated-pgm": [str(pgm)],
@@ -628,6 +671,7 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         "pgm-pixel-above-maxval": [str(pgm)],
         "limit--1": ["--idx", str(good_idx), "--limit", "-1"],
         "limit-0": ["--idx", str(good_idx), "--limit", "0"],
+        "two-pgms-one-output": [str(pgm), str(other)],
     }[case]
     out = tmp_path / "bits"
     code, report, err = run(capsys, "image2bits", "--out", str(out), *flags)
@@ -642,6 +686,72 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
     if case.startswith("limit-"):
         assert err.startswith("usage error: --limit must be >= 1")
     assert not out.exists()
+    if case == "two-pgms-one-output":
+        assert f"{pgm} and {other} would both write {out / 'img.bits'}" in err
+
+
+def test_quantize_two_inputs_that_write_one_file_are_refused(tmp_path, capsys):
+    for d in ("d1", "d2"):
+        (tmp_path / d).mkdir()
+        (tmp_path / d / "s.csv").write_text("f0,f1\n0.5,1.5\n2.5,3.5\n")
+    first, second, out = tmp_path / "d1" / "s.csv", tmp_path / "d2" / "s.csv", tmp_path / "q"
+    code, report, err = run(capsys, "quantize", str(first), str(second), "--out", str(out))
+    assert code == 2 and report is None
+    assert err.startswith(f"usage error: {first} and {second} would both write {out / 's.sym'}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["pair", "multiset", "matrix", "classify", "loocv", "partition"])
+def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command):
+    root = write_class_dirs(tmp_path, per_class=4, n_words=40)
+    item = tmp_path / "item.txt"
+    item.write_bytes(b"an item to score " * 10)
+    cache = tmp_path / "sizes.tsv"
+    before = _tree(tmp_path)
+    calls = _count_compressions(monkeypatch)
+    argv = [*_frame_argv(command, root, item), "--backend", "zlib", "--cache", str(cache)]
+    code, report, err = run(capsys, *argv, "--jobs", "0")
+    assert code == 2 and report is None
+    assert err.startswith("usage error: --jobs must be >= 1, got 0") and "Traceback" not in err
+    assert calls == []
+    assert _tree(tmp_path) == before
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["loocv", "--classes", "ROOT", "--seed", "abc"], "--seed"),
+        (["loocv", "--backend", "zlib"], "--classes"),
+        (["pair", "ITEM", "ITEM", "--framing", "bits"], "--framing"),
+        (["multiset", "ITEM", "ITEM", "--exact", "--ncd1"], "--ncd1"),
+        (["multiset", "ITEM", "ITEM", "--exact", "--max-card", "1"], "--max-card"),
+        (["classify", "ITEM", "--classes", "ROOT", "--test", "MISSING"], "--test"),
+        (["classify", "ITEM", "--classes", "ROOT", "--method", "nearest"], "--method"),
+        (["pair", "ITEM", "ITEM", "--backend", "zlib:12"], "--backend"),
+        (["pair", "ITEM", "ITEM", "--unknown"], "--unknown"),
+    ],
+    ids=[
+        "seed-abc",
+        "no-classes",
+        "framing-choice",
+        "exclusive-styles",
+        "max-card-1",
+        "test-missing",
+        "method-unknown",
+        "backend-level",
+        "unknown-flag",
+    ],
+)
+def test_every_parse_error_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    root = write_class_dirs(tmp_path, per_class=4, n_words=40)
+    item = tmp_path / "item.txt"
+    item.write_bytes(b"an item to score " * 10)
+    places = {"ROOT": str(root), "ITEM": str(item), "MISSING": str(tmp_path / "missing")}
+    calls = _count_compressions(monkeypatch)
+    code, report, err = run(capsys, *[places.get(a, a) for a in argv])  # returns, no SystemExit
+    assert code == 2 and report is None
+    assert err.startswith("usage error: ") and flag in err and "Traceback" not in err
+    assert calls == []
 
 
 # -- output paths ----------------------------------------------------------------

@@ -283,6 +283,15 @@ def test_params_validation():
         simulate_population(params(), 0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("upsilon", math.nan), ("upsilon", math.inf), ("r0_scale", math.nan), ("lifespan_shape", math.nan)],
+)
+def test_params_refuse_nan_and_infinite_upsilon(field, value):
+    with pytest.raises(ValueError, match=field):
+        CellModelParams(**{"upsilon": 1.0, field: value})
+
+
 # -- output -----------------------------------------------------------------
 
 

@@ -249,6 +249,18 @@ def test_auto_stop_margin_is_min_over_pairs(calc):
     assert stop == min(pair_margins)
 
 
+@pytest.mark.parametrize("stop_margin", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_stop_margin_is_refused_before_any_work(stop_margin):
+    calc = NcdCalculator(ZlibBackend(), jobs=1)
+    classes = {
+        "p": Multiset(near_copy_class(70, ALPHABET_A, 4, prefix="p")),
+        "q": Multiset(near_copy_class(71, ALPHABET_B, 4, prefix="q")),
+    }
+    with pytest.raises(ValueError, match="stop_margin must be finite"):
+        recursive_partition(calc, classes, PartitionConfig(), stop_margin=stop_margin)
+    assert calc.cache.job_count == 0
+
+
 # -- min_class_distances -------------------------------------------------------
 
 
