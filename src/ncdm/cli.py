@@ -1,10 +1,11 @@
 """Command-line interface.
 
 Every subcommand prints one JSON report to stdout and a one-line human
-summary to stderr. Exit codes: 0 on success; 1 on degenerate input or a
-malformed data file (``error: ...``); 2 on a usage error (``usage error:
-...``). ``--jobs`` bounds the worker pool and can only change wall time,
-so it is not echoed into reports.
+summary to stderr. Exit codes: 0 on success; 1 on degenerate input or an
+input file that cannot be read, parsed or converted (``error: ...``); 2 on a
+usage error (``usage error: ...``). An input file's error starts with its
+path, ``error: PATH: ...``. ``--jobs`` bounds the worker pool and can only
+change wall time, so it is not echoed into reports.
 
 Every report starts with ``"command"``. The subcommands that compress
 (``pair``, ``multiset``, ``matrix``, ``classify``, ``loocv``, ``partition``)
@@ -20,7 +21,9 @@ any input is read. Inputs must exist. ``--cache``, ``--csv`` and
 ``--save-config`` must not name a directory and must lie in an existing one;
 ``--out`` must not name a file or lie under one. argparse's own errors (an
 unknown flag, a missing ``--classes``) read ``usage error: ...`` too, and
-``main`` returns 2 rather than raising ``SystemExit``. The subcommand checks
+``main`` returns 2 rather than raising ``SystemExit``. Without ``--backend``
+the backend is ``$NCDM_BACKEND``, or bz2 if it is unset or empty; a bad value
+is a usage error naming ``$NCDM_BACKEND``. The subcommand checks
 rules that join values, still before any work: ``--track-len LO HI`` needs
 LO <= HI, and no two inputs of ``quantize`` or ``image2bits`` may write one
 output file. An ``OSError`` while writing an output is a usage error too.
@@ -50,7 +53,7 @@ from . import __version__
 from .classify import METHODS, TestItem, classify_items, loocv
 from .compressor import FRAMING_MODES, SizeCache, get_backend, normality_report
 from .datagen import CellModelParams, simulate_population, write_population
-from .errors import CorpusError, NcdmError
+from .errors import NcdmError
 from .ingest import (
     MAX_SYMBOLS,
     QuantizerConfig,
@@ -58,9 +61,11 @@ from .ingest import (
     image_to_bitstream,
     load_corpus,
     quantize_timeseries,
+    read_element,
     read_idx_images,
     read_pgm,
     read_timeseries_csv,
+    reading,
 )
 from .multiset import Element, Multiset
 from .ncd import DEFAULT_MAX_CARD, NcdCalculator
@@ -143,7 +148,7 @@ _OUT_DIR = _arg(
 
 @contextmanager
 def _reraise(error: type[Exception], caught: type[Exception] | tuple = ValueError):
-    """Re-raise a library error (a bad flag value or data file) as ``error``."""
+    """Re-raise a library error (a bad flag value or cache snapshot) as ``error``."""
     try:
         yield
     except caught as exc:
@@ -159,11 +164,6 @@ def _writing(flag: str, path: str | Path):
         raise UsageError(f"cannot write {flag} {path}: {exc}") from exc
 
 
-def _read_element(path: str | Path, ident: str | None = None) -> Element:
-    path = Path(path)
-    return Element(path.read_bytes(), id=ident if ident is not None else str(path))
-
-
 def _gather_elements(inputs: list[str]) -> list[Element]:
     """A single directory (one element per file) or two-plus explicit files."""
     if len(inputs) == 1 and Path(inputs[0]).is_dir():
@@ -171,10 +171,10 @@ def _gather_elements(inputs: list[str]) -> list[Element]:
         files = sorted(p for p in root.iterdir() if p.is_file())
         if len(files) < 2:
             raise UsageError(f"directory {root} holds {len(files)} files; need >= 2")
-        return [_read_element(p, p.name) for p in files]
+        return [read_element(p, p.name) for p in files]
     if len(inputs) < 2 or not all(map(os.path.isfile, inputs)):
         raise UsageError("pass a directory or at least two files")
-    return [_read_element(p) for p in inputs]
+    return [read_element(p) for p in inputs]
 
 
 def _targets(out: str, sources: list[tuple[str, str]], suffix: str) -> list[Path]:
@@ -192,7 +192,6 @@ def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--backend",
         type=_BACKEND,
-        default=os.environ.get(BACKEND_ENV) or "bz2",
         help=f"compressor: bz2[:LEVEL], zlib[:LEVEL], or cmd:COMMAND "
         f"(default: ${BACKEND_ENV} or bz2)",
     )
@@ -213,6 +212,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         help="worker pool size (default: hardware parallelism); affects wall time only",
     )
     sub.add_argument("--cache", type=_OUT_FILE, metavar="FILE", help="persistent size-cache snapshot")
+
+
+def _env_backend():
+    """The backend ``$NCDM_BACKEND`` names, or bz2; a bad value names the variable."""
+    try:
+        return _BACKEND(os.environ.get(BACKEND_ENV) or "bz2")
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"${BACKEND_ENV} {exc}") from None
 
 
 def _with_calc(handler, count_jobs: bool = True):
@@ -248,8 +255,8 @@ def _with_calc(handler, count_jobs: bool = True):
 
 
 def _cmd_pair(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
-    x = _read_element(args.file1)
-    y = _read_element(args.file2)
+    x = read_element(args.file1)
+    y = read_element(args.file2)
     result = calc.ncd_pairwise(x, y)
     payload = {"formula": result.formula, "value": result.value, "elements": [x.id, y.id]}
     return {}, payload, f"pairwise distance {result.value:.6f}"
@@ -288,7 +295,7 @@ def _cmd_matrix(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
 
 def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     corpus = load_corpus(args.classes, args.test)
-    items = [*corpus.test_items, *(TestItem(_read_element(path)) for path in args.items)]
+    items = [*corpus.test_items, *(TestItem(read_element(path)) for path in args.items)]
     if not items:
         raise UsageError("no items to classify; pass files or --test")
     results = classify_items(calc, [(item, corpus.classes) for item in items], args.method)
@@ -313,11 +320,11 @@ def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
         restarts=args.restarts, max_iters=args.max_iters, min_size=args.min_size, seed=args.seed
     )
     classes = load_corpus(args.classes).classes
+    element = read_element(args.item) if args.item else None  # read before any work
     tree = recursive_partition(calc, classes, cfg, stop_margin=args.stop_margin)
     payload = tree.to_dict()
     payload["partition_config"] = payload.pop("config")  # keep the CLI echo separate
-    if args.item:
-        element = _read_element(args.item)
+    if element is not None:
         payload["item_distances"] = {
             "id": element.id,
             "k": args.k,
@@ -368,13 +375,16 @@ def _cmd_quantize(args) -> tuple[dict, str]:
     if not paths:
         raise UsageError("no CSV inputs found")
     targets = _targets(args.out, [(str(p), p.name) for p in paths], ".sym")
-    with _reraise(CorpusError):
-        series = [read_timeseries_csv(p) for p in paths]
-        if args.config:
+    series = [read_timeseries_csv(p) for p in paths]
+    if args.config:
+        with reading(args.config):
             quantizer = QuantizerConfig.from_json(Path(args.config).read_text())
-        else:
-            quantizer = fit_quantizer(series, args.symbols)
-        elements = [quantize_timeseries(ts, quantizer=quantizer) for ts in series]
+    else:
+        quantizer = fit_quantizer(series, args.symbols)
+    elements = []
+    for p, ts in zip(paths, series):
+        with reading(p):
+            elements.append(quantize_timeseries(ts, quantizer=quantizer))
     with _writing("--out", args.out):
         Path(args.out).mkdir(parents=True, exist_ok=True)
         for target, element in zip(targets, elements):
@@ -389,15 +399,16 @@ def _cmd_quantize(args) -> tuple[dict, str]:
 
 def _cmd_image2bits(args) -> tuple[dict, str]:
     named = []  # (input file, image)
-    with _reraise(CorpusError):
-        if args.idx:
-            named += [(args.idx, img) for img in read_idx_images(args.idx, limit=args.limit)]
-        named += [(raw, read_pgm(raw)) for raw in args.inputs]
+    if args.idx:
+        named += [(args.idx, img) for img in read_idx_images(args.idx, limit=args.limit)]
+    named += [(raw, read_pgm(raw)) for raw in args.inputs]
     if not named:
         raise UsageError("no images given; pass PGM files or --idx")
     targets = _targets(args.out, [(source, img.name) for source, img in named], ".bits")
-    with _reraise(CorpusError):  # an image with no pixels
-        elements = [image_to_bitstream(img, scale=args.scale) for _, img in named]
+    elements = []
+    for source, img in named:
+        with reading(source):  # an image with no pixels
+            elements.append(image_to_bitstream(img, scale=args.scale))
     written = []
     with _writing("--out", args.out):
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -508,6 +519,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if "backend" in args and args.backend is None:  # no --backend given
+            args.backend = _env_backend()
         report, summary = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

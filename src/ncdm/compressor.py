@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import bz2
 import hashlib
-import itertools
 import math
 import os
 import random
@@ -412,6 +411,20 @@ class NormalityReport:
         }
 
 
+def _pair_at(items: Sequence, k: int) -> tuple:
+    """The ``k``-th pair of ``itertools.combinations(items, 2)``, found directly."""
+    n = len(items)
+
+    def first_of_row(i: int) -> int:  # index of the pair (items[i], items[i + 1])
+        return i * (2 * n - i - 1) // 2
+
+    # The row solves first_of_row(i) <= k; the integer root may overshoot it by one.
+    i = (2 * n - 1 - math.isqrt((2 * n - 1) ** 2 - 8 * k)) // 2
+    if first_of_row(i) > k:
+        i -= 1
+    return items[i], items[i + 1 + k - first_of_row(i)]
+
+
 def normality_report(
     backend: CompressorBackend,
     corpus: Sequence[Element],
@@ -467,9 +480,11 @@ def normality_report(
         record("determinism", (x.id,), abs(compress_len(backend, x.data) - gx), 0)
         record("idempotency", (x.id, x.id), abs(g_pair(x, x) - gx), tol_for(2 * len(x.data) + 1))
 
-    all_pairs = list(itertools.combinations(corpus, 2))
-    pairs = all_pairs if len(all_pairs) <= max_pairs else rng.sample(all_pairs, max_pairs)
-    for x, y in pairs:
+    # Positions in combinations(corpus, 2): sampling them draws what sampling
+    # the listed pairs would, and leaves rng in the same state.
+    n_pairs = len(corpus) * (len(corpus) - 1) // 2
+    drawn = range(n_pairs) if n_pairs <= max_pairs else rng.sample(range(n_pairs), max_pairs)
+    for x, y in (_pair_at(corpus, k) for k in drawn):
         gxy = g_pair(x, y)
         gyx = g_pair(y, x)
         after_x = backend.after(prefix_frame(x, mode))

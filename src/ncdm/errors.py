@@ -26,5 +26,5 @@ class BackendUnavailableError(NcdmError):
     """A compressor backend cannot run or violated its output contract."""
 
 
-class CorpusError(NcdmError):
-    """A labeled corpus cannot be loaded or is unusable for the request."""
+class CorpusError(NcdmError, ValueError):
+    """An input file or a labeled corpus cannot be read, parsed or used."""

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +27,18 @@ from .multiset import Element, Multiset
 QUANT_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
 MAX_SYMBOLS = len(QUANT_ALPHABET)
 _ALPHABET_BYTES = np.frombuffer(QUANT_ALPHABET, dtype=np.uint8)
+
+
+@contextmanager
+def reading(path: str | Path) -> Iterator[None]:
+    """Raise an ``OSError`` or ``ValueError`` met while one input file is read,
+    parsed or converted as a ``CorpusError`` whose message starts with its path."""
+    try:
+        yield
+    except OSError as exc:
+        raise CorpusError(f"{path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError included
+        raise CorpusError(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,7 +108,7 @@ def fit_quantizer(corpus: Sequence[TimeSeries], n_symbols: int) -> QuantizerConf
     width = matrices[0].shape[1]
     for ts, m in zip(corpus, matrices):
         if m.shape[1] != width:
-            raise ValueError(
+            raise CorpusError(  # a rule across files, not a fault of one
                 f"feature count mismatch: {ts.name!r} has {m.shape[1]} columns, expected {width}"
             )
     pooled = np.concatenate(matrices, axis=0)
@@ -191,12 +204,19 @@ def image_to_bitstream(img: GrayImage, scale: int = 4) -> Element:
     return Element(scaled.tobytes(), id=img.name)
 
 
+def read_element(path: str | Path, ident: str | None = None) -> Element:
+    """One input file's bytes as an element, identified by ``ident`` or its path."""
+    path = Path(path)
+    with reading(path):
+        return Element(path.read_bytes(), id=str(path) if ident is None else ident)
+
+
 def read_timeseries_csv(path: str | Path) -> TimeSeries:
-    """CSV with an optional header row of feature names; an error names the file."""
+    """CSV with an optional header row of feature names and finite cells."""
     path = Path(path)
     names: tuple[str, ...] = ()
     skip = 0
-    try:
+    with reading(path):
         with path.open() as fh:
             first = fh.readline()
         fields = [f.strip() for f in first.strip().split(",")]
@@ -210,58 +230,57 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
             values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
         if values.size == 0:
             raise ValueError("no data rows")
-    except ValueError as exc:  # UnicodeDecodeError included
-        raise ValueError(f"{path}: {exc}") from None
+        _as_matrix(values)  # refuses a non-finite cell, as quantizing would
     return TimeSeries(values=values, feature_names=names, name=path.name)
 
 
 def read_pgm(path: str | Path) -> GrayImage:
     """Binary PGM (P5) with a maxval in 1..255 and no pixel above it."""
     path = Path(path)
-    data = path.read_bytes()
+    with reading(path):
+        data = path.read_bytes()
 
-    pos = 0
+        pos = 0
 
-    def token() -> bytes:
-        nonlocal pos
-        while pos < len(data):
-            if data[pos : pos + 1].isspace():
-                pos += 1
-            elif data[pos : pos + 1] == b"#":
-                while pos < len(data) and data[pos] != 0x0A:
+        def token() -> bytes:
+            nonlocal pos
+            while pos < len(data):
+                if data[pos : pos + 1].isspace():
                     pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        return data[start:pos]
+                elif data[pos : pos + 1] == b"#":
+                    while pos < len(data) and data[pos] != 0x0A:
+                        pos += 1
+                else:
+                    break
+            start = pos
+            while pos < len(data) and not data[pos : pos + 1].isspace():
+                pos += 1
+            return data[start:pos]
 
-    def number(field: str) -> int:
-        raw = token()
-        if not raw.isdigit():
-            raise ValueError(
-                f"{path}: PGM {field} must be a decimal number, got {raw.decode('latin-1')!r}"
-            )
-        return int(raw)
+        def number(field: str) -> int:
+            raw = token()
+            if not raw.isdigit():
+                got = raw.decode("latin-1")
+                raise ValueError(f"PGM {field} must be a decimal number, got {got!r}")
+            return int(raw)
 
-    magic = token()
-    if magic != b"P5":
-        raise ValueError(f"{path}: not a binary PGM (magic {magic!r})")
-    width = number("width")
-    height = number("height")
-    maxval = number("maxval")
-    if maxval > 255:
-        raise ValueError(f"{path}: 16-bit PGM not supported")
-    if maxval == 0:
-        raise ValueError(f"{path}: PGM maxval must be >= 1, got 0")
-    pos += 1  # single whitespace after maxval
-    raster = data[pos : pos + width * height]
-    if len(raster) != width * height:
-        raise ValueError(f"{path}: truncated raster")
-    pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
-    if pixels.size and pixels.max() > maxval:
-        raise ValueError(f"{path}: a pixel is {pixels.max()}, above the maxval {maxval}")
+        magic = token()
+        if magic != b"P5":
+            raise ValueError(f"not a binary PGM (magic {magic!r})")
+        width = number("width")
+        height = number("height")
+        maxval = number("maxval")
+        if maxval > 255:
+            raise ValueError("16-bit PGM not supported")
+        if maxval == 0:
+            raise ValueError("PGM maxval must be >= 1, got 0")
+        pos += 1  # single whitespace after maxval
+        raster = data[pos : pos + width * height]
+        if len(raster) != width * height:
+            raise ValueError("truncated raster")
+        pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
+        if pixels.size and pixels.max() > maxval:
+            raise ValueError(f"a pixel is {pixels.max()}, above the maxval {maxval}")
     return GrayImage(pixels=pixels, name=path.name)
 
 
@@ -270,20 +289,21 @@ def read_idx_images(path: str | Path, limit: int | None = None) -> list[GrayImag
     if limit is not None and limit < 0:
         raise ValueError(f"IDX record limit must be >= 0, got {limit}")
     path = Path(path)
-    data = path.read_bytes()
-    if len(data) < 16:
-        raise ValueError(f"{path}: too short for an IDX image file")
-    magic = int.from_bytes(data[0:4], "big")
-    if magic != 0x0803:
-        raise ValueError(f"{path}: bad IDX magic 0x{magic:08x}")
-    count = int.from_bytes(data[4:8], "big")
-    rows = int.from_bytes(data[8:12], "big")
-    cols = int.from_bytes(data[12:16], "big")
-    if limit is not None:
-        count = min(count, limit)
-    need = 16 + count * rows * cols
-    if len(data) < need:
-        raise ValueError(f"{path}: truncated raster")
+    with reading(path):
+        data = path.read_bytes()
+        if len(data) < 16:
+            raise ValueError("too short for an IDX image file")
+        magic = int.from_bytes(data[0:4], "big")
+        if magic != 0x0803:
+            raise ValueError(f"bad IDX magic 0x{magic:08x}")
+        count = int.from_bytes(data[4:8], "big")
+        rows = int.from_bytes(data[8:12], "big")
+        cols = int.from_bytes(data[12:16], "big")
+        if limit is not None:
+            count = min(count, limit)
+        need = 16 + count * rows * cols
+        if len(data) < need:
+            raise ValueError("truncated raster")
     raw = np.frombuffer(data[16:need], dtype=np.uint8).reshape(count, rows, cols)
     stem = path.stem
     return [GrayImage(pixels=raw[i], name=f"{stem}-{i:05d}") for i in range(count)]
@@ -307,35 +327,26 @@ def load_corpus(classes_dir: str | Path, test_path: str | Path | None = None) ->
         files = sorted(p for p in (root / label).iterdir() if p.is_file())
         if not files:
             raise CorpusError(f"class directory {label!r} is empty")
-        try:
-            elements = [Element(p.read_bytes(), id=f"{label}/{p.name}") for p in files]
-        except OSError as exc:
-            raise CorpusError(f"unreadable corpus file: {exc}") from exc
-        classes[label] = Multiset(elements)
+        classes[label] = Multiset([read_element(p, f"{label}/{p.name}") for p in files])
 
     test_items: list[TestItem] = []
     if test_path is not None:
         test_path = Path(test_path)
         if test_path.is_dir():
-            for p in sorted(f for f in test_path.iterdir() if f.is_file()):
-                test_items.append(TestItem(Element(p.read_bytes(), id=p.name)))
+            files = sorted(f for f in test_path.iterdir() if f.is_file())
+            test_items = [TestItem(read_element(p, p.name)) for p in files]
         elif test_path.is_file():
-            try:
+            with reading(test_path):
                 entries = json.loads(test_path.read_text())
-            except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-                raise CorpusError(f"test manifest {test_path} is not JSON: {exc}") from exc
-            if not isinstance(entries, list):
-                raise CorpusError(f"test manifest {test_path} must hold a list of entries")
-            base = test_path.parent
-            for entry in entries:
-                if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
-                    raise CorpusError(f"test manifest {test_path}: entry {entry!r} has no path")
-                p = base / entry["path"]
-                if not p.is_file():
-                    raise CorpusError(f"manifest entry not found: {p}")
-                test_items.append(
-                    TestItem(Element(p.read_bytes(), id=entry["path"]), entry.get("label"))
-                )
+                if not isinstance(entries, list):
+                    raise ValueError("test manifest must hold a list of entries")
+                for entry in entries:
+                    if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+                        raise ValueError(f"test manifest entry {entry!r} has no path")
+            test_items = [
+                TestItem(read_element(test_path.parent / e["path"], e["path"]), e.get("label"))
+                for e in entries
+            ]
         else:
             raise CorpusError(f"test path not found: {test_path}")
     return LabeledCorpus(classes=classes, test_items=tuple(test_items))

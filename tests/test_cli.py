@@ -412,6 +412,22 @@ def test_backend_env_variable(tmp_path, capsys, monkeypatch):
     assert report["config"]["backend"] == "zlib-9"
 
 
+@pytest.mark.parametrize("flag", [[], ["--backend", "zlib"]])
+def test_bad_backend_env_variable_names_itself_unless_the_flag_is_given(
+    tmp_path, capsys, monkeypatch, flag
+):
+    f = tmp_path / "a.txt"
+    f.write_bytes(b"payload " * 50)
+    monkeypatch.setenv("NCDM_BACKEND", "lz4")
+    calls = _count_compressions(monkeypatch)
+    code, report, err = run(capsys, "pair", str(f), str(f), *flag)
+    if flag:
+        assert code == 0 and report["config"]["backend"] == "zlib-6"
+    else:
+        assert code == 2 and report is None and calls == []
+        assert err.startswith("usage error: $NCDM_BACKEND lz4 is not ") and "--backend" not in err
+
+
 def test_cache_from_another_backend_is_refused(tmp_path, capsys):
     a = tmp_path / "a.txt"
     b = tmp_path / "b.txt"
@@ -588,14 +604,18 @@ def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
         ("missing-config", 2),
         ("config-without-n_symbols", 1),
         ("config-not-an-object", 1),
+        ("config-not-json", 1),
         ("csv-with-a-word", 1),
+        ("csv-with-nan", 1),
+        ("csv-under-a-3-feature-config", 1),
         ("csv-not-utf-8", 1),
         ("csv-header-only", 1),
     ],
 )
 def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
     csv = tmp_path / "s.csv"
-    csv.write_text("f0,f1\n0.5,1.5\n2.5,3.5\n" + ("abc,1.0\n" if case == "csv-with-a-word" else ""))
+    extra = {"csv-with-a-word": "abc,1.0\n", "csv-with-nan": "nan,1.0\n"}.get(case, "")
+    csv.write_text("f0,f1\n0.5,1.5\n2.5,3.5\n" + extra)
     if case == "csv-not-utf-8":
         csv.write_bytes(b"f0,f1\n\xff,1.5\n")
     if case == "csv-header-only":
@@ -605,12 +625,19 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         config.write_text(json.dumps({"edges": [[1.0], [2.0]]}))
     if case == "config-not-an-object":
         config.write_text("[4, [[1.0], [2.0]]]")
+    if case == "config-not-json":
+        config.write_text('{"n_symbols": 4,')
+    if case == "csv-under-a-3-feature-config":
+        config.write_text(json.dumps({"n_symbols": 2, "edges": [[1.0], [2.0], [3.0]]}))
     flags = {
         "symbols-1": ["--symbols", "1"],
         "missing-config": ["--config", str(tmp_path / "nope.json")],
         "config-without-n_symbols": ["--config", str(config)],
         "config-not-an-object": ["--config", str(config)],
+        "config-not-json": ["--config", str(config)],
         "csv-with-a-word": [],
+        "csv-with-nan": [],
+        "csv-under-a-3-feature-config": ["--config", str(config)],
         "csv-not-utf-8": [],
         "csv-header-only": [],
     }[case]
@@ -618,6 +645,9 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
     code, report, err = run(capsys, "quantize", str(csv), "--out", str(out), *flags)
     assert code == expected and report is None
     assert err.startswith("usage error:" if expected == 2 else "error:")
+    if expected == 1:
+        assert err.startswith(f"error: {config if case.startswith('config') else csv}: ")
+        assert "Traceback" not in err
     if case == "config-without-n_symbols":
         assert "n_symbols" in err
     if case == "csv-with-a-word":
@@ -677,12 +707,13 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
     code, report, err = run(capsys, "image2bits", "--out", str(out), *flags)
     assert code == expected and report is None
     assert err.startswith("usage error:" if expected == 2 else "error:")
+    if expected == 1:
+        assert err.startswith(f"error: {idx if case.startswith('idx') else pgm}: ")
+        assert "Traceback" not in err
     if case == "pgm-width-not-a-number":
         assert err.startswith(f"error: {pgm}: PGM width must be a decimal number, got 'x'")
     if case == "pgm-without-maxval":
         assert err.startswith(f"error: {pgm}: PGM maxval must be a decimal number, got ''")
-    if case in ("pgm-maxval-0", "pgm-pixel-above-maxval"):
-        assert err.startswith(f"error: {pgm}: ")
     if case.startswith("limit-"):
         assert err.startswith("usage error: --limit must be >= 1")
     assert not out.exists()
@@ -810,3 +841,71 @@ def test_failed_write_is_a_usage_error(tmp_path, capsys):
     code, report, err = run(capsys, *argv, "--csv", "/dev/full")
     assert code == 2 and report is None
     assert err.startswith("usage error: cannot write --csv /dev/full: ") and "Traceback" not in err
+
+
+# -- input files -----------------------------------------------------------------
+
+UNREADABLE = Path("/proc/self/mem")  # a regular file whose read fails with EIO, for root too
+
+
+@pytest.mark.skipif(not UNREADABLE.exists(), reason="needs /proc")
+@pytest.mark.parametrize(
+    "argv, blamed",
+    [
+        (["pair", "{bad}", "{item}"], "{bad}"),
+        (["multiset", "{item}", "{bad}"], "{bad}"),
+        (["matrix", "{item}", "{bad}"], "{bad}"),
+        (["classify", "{bad}", "--classes", "{root}"], "{bad}"),
+        (["classify", "--classes", "{root}", "--test", "{loose}"], "{loose}/bad.txt"),
+        (["classify", "--classes", "{root}", "--test", "{manifest}"], "{bad}"),
+        (["loocv", "--classes", "{badroot}"], "{badroot}/alpha/bad.txt"),
+        (["partition", "--classes", "{badroot}"], "{badroot}/alpha/bad.txt"),
+        (["partition", "--classes", "{root}", "--item", "{bad}"], "{bad}"),
+        (["quantize", "{bad}", "--out", "{out}"], "{bad}"),
+        (["quantize", "{csv}", "--config", "{bad}", "--out", "{out}"], "{bad}"),
+        (["image2bits", "{bad}", "--out", "{out}"], "{bad}"),
+        (["image2bits", "--idx", "{bad}", "--out", "{out}"], "{bad}"),
+    ],
+    ids=[
+        "pair",
+        "multiset",
+        "matrix",
+        "classify-item",
+        "classify-test-dir",
+        "classify-manifest-entry",
+        "loocv-class-file",
+        "partition-class-file",
+        "partition-item",
+        "quantize-csv",
+        "quantize-config",
+        "image2bits-pgm",
+        "image2bits-idx",
+    ],
+)
+def test_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, monkeypatch, argv, blamed):
+    root = write_class_dirs(tmp_path, per_class=3, n_words=30)
+    bad_root = tmp_path / "badclasses"
+    shutil.copytree(root, bad_root)
+    (bad_root / "alpha" / "bad.txt").symlink_to(UNREADABLE)
+    (tmp_path / "bad.txt").symlink_to(UNREADABLE)
+    (tmp_path / "loose").mkdir()
+    (tmp_path / "loose" / "bad.txt").symlink_to(UNREADABLE)
+    (tmp_path / "manifest.json").write_text(json.dumps([{"path": "bad.txt", "label": "alpha"}]))
+    (tmp_path / "item.txt").write_bytes(b"an item to score " * 10)
+    (tmp_path / "s.csv").write_text("f0,f1\n0.5,1.5\n2.5,3.5\n")
+    places = {
+        "bad": tmp_path / "bad.txt",
+        "item": tmp_path / "item.txt",
+        "root": root,
+        "badroot": bad_root,
+        "loose": tmp_path / "loose",
+        "manifest": tmp_path / "manifest.json",
+        "csv": tmp_path / "s.csv",
+        "out": tmp_path / "out",
+    }
+    calls = _count_compressions(monkeypatch)
+    code, report, err = run(capsys, *[a.format(**places) for a in argv])
+    assert code == 1 and report is None
+    assert err.startswith(f"error: {blamed.format(**places)}: ") and "Traceback" not in err
+    assert calls == []  # every input is read before any work
+    assert not (tmp_path / "out").exists()

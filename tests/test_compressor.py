@@ -1,4 +1,5 @@
 import bz2
+import itertools
 import os
 import random
 import stat
@@ -427,6 +428,31 @@ def test_normality_determinism_probe_covers_checkpoints(mode):
     )
     for violation in report.violations["determinism"]:
         assert violation.slack == 1 and violation.tolerance == 0
+
+
+def test_pair_at_enumerates_the_combinations_in_order():
+    for n in range(2, 80):
+        listed = list(itertools.combinations(range(n), 2))
+        assert [compressor._pair_at(range(n), k) for k in range(len(listed))] == listed
+
+
+@given(st.integers(2, 60), st.integers(0, 2**32 - 1), st.integers(0, 200))
+@settings(max_examples=200, deadline=None)
+def test_pair_sampling_draws_what_sampling_the_listed_pairs_draws(n, seed, k):
+    listed = list(itertools.combinations(range(n), 2))
+    k = min(k, len(listed))
+    oracle, direct = random.Random(seed), random.Random(seed)
+    expected = oracle.sample(listed, k)
+    drawn = [compressor._pair_at(range(n), i) for i in direct.sample(range(len(listed)), k)]
+    assert drawn == expected
+    assert direct.getstate() == oracle.getstate()  # the triples that follow are drawn alike
+
+
+def test_normality_checks_the_pairs_a_listed_sample_draws():
+    corpus = [random_text_element(60 + i, 64, f"p{i:02d}") for i in range(30)]
+    report = normality_report(ChunkSensitiveBackend(), corpus, max_pairs=20, seed=6)
+    listed = random.Random(6).sample(list(itertools.combinations(corpus, 2)), 20)
+    assert [v.ids for v in report.violations["determinism"]] == [(x.id, y.id) for x, y in listed]
 
 
 def test_normality_samples_at_most_the_module_caps():
