@@ -380,7 +380,8 @@ def _cmd_quantize(args) -> tuple[dict, str]:
         with reading(args.config):
             quantizer = QuantizerConfig.from_json(Path(args.config).read_text())
     else:
-        quantizer = fit_quantizer(series, args.symbols)
+        with reading(", ".join(args.inputs)):  # the fit pools every input
+            quantizer = fit_quantizer(series, args.symbols)
     elements = []
     for p, ts in zip(paths, series):
         with reading(p):
@@ -405,10 +406,7 @@ def _cmd_image2bits(args) -> tuple[dict, str]:
     if not named:
         raise UsageError("no images given; pass PGM files or --idx")
     targets = _targets(args.out, [(source, img.name) for source, img in named], ".bits")
-    elements = []
-    for source, img in named:
-        with reading(source):  # an image with no pixels
-            elements.append(image_to_bitstream(img, scale=args.scale))
+    elements = [image_to_bitstream(img, scale=args.scale) for _, img in named]
     written = []
     with _writing("--out", args.out):
         Path(args.out).mkdir(parents=True, exist_ok=True)

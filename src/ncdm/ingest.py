@@ -5,6 +5,9 @@ training corpus, each bin mapping to one printable byte with features offset
 into disjoint alphabet ranges (where capacity allows). Grayscale images are
 upscaled, binarized at the Otsu threshold, and emitted as ASCII '0'/'1'
 streams.
+
+Each value type checks itself when it is built, and each reader builds its
+value under ``reading``, so a value that breaks its type's rule names its file.
 """
 
 from __future__ import annotations
@@ -47,11 +50,18 @@ class TimeSeries:
     feature_names: tuple[str, ...] = ()
     name: str = ""
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", _as_matrix(self.values))
+
 
 @dataclass(frozen=True, eq=False)
 class GrayImage:
     pixels: np.ndarray  # (H, W), integers in [0, 255]
     name: str = ""
+
+    def __post_init__(self) -> None:
+        if len(shape := np.shape(self.pixels)) != 2 or 0 in shape:
+            raise ValueError(f"image must be a 2-D pixel grid, got shape {shape}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,21 @@ class QuantizerConfig:
     n_symbols: int
     edges: tuple[tuple[float, ...], ...]
     feature_names: tuple[str, ...] = ()
+
+    def __post_init__(self) -> None:
+        n = self.n_symbols
+        if not 2 <= n <= MAX_SYMBOLS:
+            raise ValueError(f"n_symbols must be in [2, {MAX_SYMBOLS}], got {n}")
+        if not self.edges:
+            raise ValueError("quantizer has no features")
+        for d, edges in enumerate(self.edges):
+            if len(edges) != n - 1:
+                raise ValueError(f"feature {d} has {len(edges)} edges, {n} symbols need {n - 1}")
+            if not np.isfinite(edges).all():
+                raise ValueError(f"feature {d} has a non-finite edge")
+            # equal edges are fine: a constant column fits to them
+            if any(a > b for a, b in zip(edges, edges[1:])):
+                raise ValueError(f"feature {d} has descending edges")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -98,13 +123,13 @@ def _as_matrix(values: np.ndarray) -> np.ndarray:
     return arr
 
 
+@np.errstate(over="ignore", invalid="ignore")  # edges that overflow are refused below
 def fit_quantizer(corpus: Sequence[TimeSeries], n_symbols: int) -> QuantizerConfig:
-    """Equal-frequency bin edges per feature, pooled over all corpus rows."""
-    if not 2 <= n_symbols <= MAX_SYMBOLS:
-        raise ValueError(f"n_symbols must be in [2, {MAX_SYMBOLS}], got {n_symbols}")
+    """Equal-frequency bin edges per feature, pooled over all corpus rows; edges
+    that break ``QuantizerConfig``'s rule (a column too wide for a float) are a ``CorpusError``."""
     if not corpus:
         raise ValueError("cannot fit a quantizer on an empty corpus")
-    matrices = [_as_matrix(ts.values) for ts in corpus]
+    matrices = [ts.values for ts in corpus]
     width = matrices[0].shape[1]
     for ts, m in zip(corpus, matrices):
         if m.shape[1] != width:
@@ -116,7 +141,10 @@ def fit_quantizer(corpus: Sequence[TimeSeries], n_symbols: int) -> QuantizerConf
     edges = tuple(
         tuple(float(v) for v in np.quantile(pooled[:, d], quantiles)) for d in range(width)
     )
-    return QuantizerConfig(n_symbols, edges, tuple(corpus[0].feature_names))
+    try:
+        return QuantizerConfig(n_symbols, edges, tuple(corpus[0].feature_names))
+    except ValueError as exc:
+        raise CorpusError(f"cannot fit a quantizer: {exc}") from None
 
 
 def quantize_timeseries(ts: TimeSeries, quantizer: QuantizerConfig) -> Element:
@@ -128,7 +156,7 @@ def quantize_timeseries(ts: TimeSeries, quantizer: QuantizerConfig) -> Element:
     gives the same streams. A column's symbols are one indexing of the
     alphabet's bytes, ``QUANT_ALPHABET[(offset + bin) % MAX_SYMBOLS]`` per symbol.
     """
-    matrix = _as_matrix(ts.values)
+    matrix = ts.values
     n = quantizer.n_symbols
     if matrix.shape[1] != len(quantizer.edges):
         raise ValueError(
@@ -197,8 +225,6 @@ def image_to_bitstream(img: GrayImage, scale: int = 4) -> Element:
     if scale < 1:
         raise ValueError("scale must be >= 1")
     arr = np.asarray(img.pixels)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ValueError(f"image must be a 2-D pixel grid, got shape {arr.shape}")
     bits = np.where(arr > otsu_threshold(arr), np.uint8(ord("1")), np.uint8(ord("0")))
     scaled = np.repeat(np.repeat(bits, scale, axis=0), scale, axis=1)
     return Element(scaled.tobytes(), id=img.name)
@@ -228,10 +254,7 @@ def read_timeseries_csv(path: str | Path) -> TimeSeries:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # a file with no rows, refused below
             values = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
-        if values.size == 0:
-            raise ValueError("no data rows")
-        _as_matrix(values)  # refuses a non-finite cell, as quantizing would
-    return TimeSeries(values=values, feature_names=names, name=path.name)
+        return TimeSeries(values=values, feature_names=names, name=path.name)
 
 
 def read_pgm(path: str | Path) -> GrayImage:
@@ -281,7 +304,7 @@ def read_pgm(path: str | Path) -> GrayImage:
         pixels = np.frombuffer(raster, dtype=np.uint8).reshape(height, width)
         if pixels.size and pixels.max() > maxval:
             raise ValueError(f"a pixel is {pixels.max()}, above the maxval {maxval}")
-    return GrayImage(pixels=pixels, name=path.name)
+        return GrayImage(pixels=pixels, name=path.name)
 
 
 def read_idx_images(path: str | Path, limit: int | None = None) -> list[GrayImage]:
@@ -304,9 +327,8 @@ def read_idx_images(path: str | Path, limit: int | None = None) -> list[GrayImag
         need = 16 + count * rows * cols
         if len(data) < need:
             raise ValueError("truncated raster")
-    raw = np.frombuffer(data[16:need], dtype=np.uint8).reshape(count, rows, cols)
-    stem = path.stem
-    return [GrayImage(pixels=raw[i], name=f"{stem}-{i:05d}") for i in range(count)]
+        raw = np.frombuffer(data[16:need], dtype=np.uint8).reshape(count, rows, cols)
+        return [GrayImage(pixels=raw[i], name=f"{path.stem}-{i:05d}") for i in range(count)]
 
 
 def load_corpus(classes_dir: str | Path, test_path: str | Path | None = None) -> LabeledCorpus:
@@ -325,8 +347,6 @@ def load_corpus(classes_dir: str | Path, test_path: str | Path | None = None) ->
     classes: dict[str, Multiset] = {}
     for label in labels:
         files = sorted(p for p in (root / label).iterdir() if p.is_file())
-        if not files:
-            raise CorpusError(f"class directory {label!r} is empty")
         classes[label] = Multiset([read_element(p, f"{label}/{p.name}") for p in files])
 
     test_items: list[TestItem] = []

@@ -275,10 +275,11 @@ def recursive_partition(
 ) -> PartitionTree:
     """Split every class while splits beat the inter-class separation.
 
-    A node becomes an accepted leaf when it is too small to split, or when
-    the best split's margin does not exceed ``stop_margin``, or when a side
-    would fall below the minimum size resolved against the original class.
-    A given ``stop_margin`` must be finite.
+    A fractional ``min_size`` is resolved once, against the original class,
+    and every node's split search keeps both sides at or above it. A node
+    becomes an accepted leaf when it is too small to split, or when the best
+    split's margin does not exceed ``stop_margin``. A given ``stop_margin``
+    must be finite.
     """
     if stop_margin is not None and not math.isfinite(stop_margin):
         raise ValueError(f"stop_margin must be finite, got {stop_margin}")
@@ -296,14 +297,10 @@ def recursive_partition(
             if len(node_ms) < 2 * min_size:
                 return PartitionNode(node_ms, accepted=True)
             node_cfg = dataclasses.replace(
-                cfg, seed=_node_seed(cfg.seed, class_index, node_index)
+                cfg, min_size=min_size, seed=_node_seed(cfg.seed, class_index, node_index)
             )
             split = klists_split(calc, node_ms, node_cfg)
-            if (
-                split.margin.value > stop_margin
-                and len(split.a) >= min_size
-                and len(split.b) >= min_size
-            ):
+            if split.margin.value > stop_margin:
                 return PartitionNode(
                     node_ms,
                     margin=split.margin.value,

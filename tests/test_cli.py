@@ -610,6 +610,12 @@ def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
         ("csv-under-a-3-feature-config", 1),
         ("csv-not-utf-8", 1),
         ("csv-header-only", 1),
+        ("config-n_symbols-0", 1),
+        ("config-nan-edge", 1),
+        ("config-descending-edges", 1),
+        ("config-wrong-edge-count", 1),
+        ("config-no-features", 1),
+        ("csv-overflowing-column", 1),
     ],
 )
 def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
@@ -620,6 +626,8 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         csv.write_bytes(b"f0,f1\n\xff,1.5\n")
     if case == "csv-header-only":
         csv.write_text("f0,f1\n")
+    if case == "csv-overflowing-column":  # its quantile edges overflow to [inf, -inf, -inf]
+        csv.write_text("f0,f1\n-1e308,1.5\n1e308,3.5\n")
     config = tmp_path / "quant.json"
     if case == "config-without-n_symbols":
         config.write_text(json.dumps({"edges": [[1.0], [2.0]]}))
@@ -629,6 +637,15 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         config.write_text('{"n_symbols": 4,')
     if case == "csv-under-a-3-feature-config":
         config.write_text(json.dumps({"n_symbols": 2, "edges": [[1.0], [2.0], [3.0]]}))
+    bad_quantizers = {
+        "config-n_symbols-0": '{"n_symbols": 0, "edges": [[1.0], [1.0]]}',
+        "config-nan-edge": '{"n_symbols": 2, "edges": [[NaN], [1.0]]}',
+        "config-descending-edges": '{"n_symbols": 3, "edges": [[3.0, 1.0], [1.0, 2.0]]}',
+        "config-wrong-edge-count": '{"n_symbols": 4, "edges": [[1.0], [2.0]]}',
+        "config-no-features": '{"n_symbols": 2, "edges": []}',
+    }
+    if case in bad_quantizers:
+        config.write_text(bad_quantizers[case])
     flags = {
         "symbols-1": ["--symbols", "1"],
         "missing-config": ["--config", str(tmp_path / "nope.json")],
@@ -640,6 +657,8 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         "csv-under-a-3-feature-config": ["--config", str(config)],
         "csv-not-utf-8": [],
         "csv-header-only": [],
+        **{bad: ["--config", str(config)] for bad in bad_quantizers},
+        "csv-overflowing-column": [],
     }[case]
     out = tmp_path / "symbols"
     code, report, err = run(capsys, "quantize", str(csv), "--out", str(out), *flags)
@@ -647,7 +666,7 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
     assert err.startswith("usage error:" if expected == 2 else "error:")
     if expected == 1:
         assert err.startswith(f"error: {config if case.startswith('config') else csv}: ")
-        assert "Traceback" not in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
     if case == "config-without-n_symbols":
         assert "n_symbols" in err
     if case == "csv-with-a-word":
@@ -671,6 +690,7 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         ("limit--1", 2),
         ("limit-0", 2),
         ("two-pgms-one-output", 2),
+        ("idx-zero-rows", 1),
     ],
 )
 def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
@@ -685,6 +705,8 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
     }.get(case, b"P5\n8 8\n255\n" + pixels))
     idx = tmp_path / "digits.idx"
     idx.write_bytes(b"\x00\x00\x08\x01" + (1).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + b"\x00" * 4)
+    if case == "idx-zero-rows":  # one record of 0 x 2 pixels
+        idx.write_bytes(b"\x00\x00\x08\x03" + b"".join(n.to_bytes(4, "big") for n in (1, 0, 2)))
     good_idx = tmp_path / "three.idx"
     good_idx.write_bytes(b"\x00\x00\x08\x03" + (3).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + bytes(12))
     other = tmp_path / "d2" / "img.pgm"
@@ -702,6 +724,7 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         "limit--1": ["--idx", str(good_idx), "--limit", "-1"],
         "limit-0": ["--idx", str(good_idx), "--limit", "0"],
         "two-pgms-one-output": [str(pgm), str(other)],
+        "idx-zero-rows": ["--idx", str(idx)],
     }[case]
     out = tmp_path / "bits"
     code, report, err = run(capsys, "image2bits", "--out", str(out), *flags)
@@ -714,6 +737,8 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         assert err.startswith(f"error: {pgm}: PGM width must be a decimal number, got 'x'")
     if case == "pgm-without-maxval":
         assert err.startswith(f"error: {pgm}: PGM maxval must be a decimal number, got ''")
+    if case == "idx-zero-rows":
+        assert err.startswith(f"error: {idx}: image must be a 2-D pixel grid, got shape (0, 2)")
     if case.startswith("limit-"):
         assert err.startswith("usage error: --limit must be >= 1")
     assert not out.exists()

@@ -167,6 +167,71 @@ def test_quantizer_validation():
         quantize_timeseries(ts, quantizer=q)  # feature count mismatch
 
 
+@settings(max_examples=200, deadline=None)
+@given(n_symbols=st.integers(2, MAX_SYMBOLS), width=st.integers(1, 3), data=st.data())
+def test_a_fitted_quantizer_survives_its_own_json(n_symbols, width, data):
+    rows = data.draw(st.integers(1, n_symbols + 2))  # fewer rows than symbols too
+    column = st.one_of(
+        st.lists(_CELL, min_size=rows, max_size=rows),
+        _CELL.map(lambda v: [v] * rows),  # a constant column fits to equal edges
+    )
+    values = np.array([data.draw(column) for _ in range(width)], dtype=float).T
+    ts = TimeSeries(values, name="s")
+    fitted = fit_quantizer([ts], n_symbols)
+    loaded = QuantizerConfig.from_json(fitted.to_json())
+    assert loaded == fitted
+    assert quantize_timeseries(ts, loaded).data == quantize_timeseries(ts, fitted).data
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: TimeSeries(np.full((3, 1), np.nan)), "non-finite values"),
+        (lambda: TimeSeries(np.empty((0, 2))), r"non-empty T x D matrix, got shape \(0, 2\)"),
+        (lambda: TimeSeries(np.zeros((2, 2, 2))), r"got shape \(2, 2, 2\)"),
+        (lambda: GrayImage(np.zeros((0, 4))), r"2-D pixel grid, got shape \(0, 4\)"),
+        (lambda: GrayImage(np.zeros(4, dtype=np.uint8)), r"2-D pixel grid, got shape \(4,\)"),
+        (lambda: QuantizerConfig(1, ((),)), r"n_symbols must be in \[2, 64\], got 1"),
+        (lambda: QuantizerConfig(65, (tuple(range(64)),)), "got 65"),
+        (lambda: QuantizerConfig(2, ()), "no features"),
+        (lambda: QuantizerConfig(4, ((1.0, 2.0, 3.0), (1.0,))), "feature 1 has 1 edges, 4 symbols"),
+        (lambda: QuantizerConfig(2, ((float("nan"),),)), "feature 0 has a non-finite edge"),
+        (lambda: QuantizerConfig(2, ((float("inf"),),)), "feature 0 has a non-finite edge"),
+        (lambda: QuantizerConfig(3, ((0.0, 1.0), (3.0, 1.0))), "feature 1 has descending edges"),
+    ],
+    ids=[
+        "series-nan",
+        "series-empty",
+        "series-3-d",
+        "image-empty",
+        "image-1-d",
+        "quantizer-1-symbol",
+        "quantizer-65-symbols",
+        "quantizer-no-features",
+        "quantizer-wrong-edge-count",
+        "quantizer-nan-edge",
+        "quantizer-inf-edge",
+        "quantizer-descending-edges",
+    ],
+)
+def test_each_value_type_checks_itself_when_built(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_series_is_stored_as_a_float_matrix():
+    values = TimeSeries([1, 2, 3]).values
+    assert values.dtype == float and values.tolist() == [[1.0], [2.0], [3.0]]
+
+
+def test_a_fit_that_overflows_is_a_corpus_error():
+    # neither series alone spans more than a float holds; pooled, the
+    # quantile edges overflow, and numpy's warning must not escape
+    wide = [TimeSeries(np.array([[-1e308]]), name="lo"), TimeSeries(np.array([[1e308]]), name="hi")]
+    with pytest.raises(CorpusError, match="cannot fit a quantizer: feature 0 has a non-finite"):
+        fit_quantizer(wide, 4)
+
+
 def test_quantizer_config_names_a_missing_field():
     with pytest.raises(ValueError, match="n_symbols"):
         QuantizerConfig.from_json('{"edges": [[0.0]]}')

@@ -369,3 +369,31 @@ def test_repair_reuses_the_seed_distances(monkeypatch):
     result = klists_split(calc, Multiset(mix), PartitionConfig(restarts=5, min_size=0.4, seed=3))
     assert sum(moved) > 0  # some restart started with a starved side
     assert len(result.a) >= 5 and len(result.b) >= 5
+
+
+def test_a_fractional_min_size_is_resolved_once_per_class(monkeypatch, calc):
+    # At the 16-member node of "mixed", resolving 0.15 against the node
+    # (3) instead of the class (5) let the search pick a 4/12 split.
+    calls = []
+    real_split = ncdm.partition.klists_split
+
+    def spy(calc, ms, cfg):
+        calls.append((ms, cfg.min_size))
+        return real_split(calc, ms, cfg)
+
+    monkeypatch.setattr(ncdm.partition, "klists_split", spy)
+    mixed = (
+        near_copy_class(90, ALPHABET_A, 12, prefix="a")
+        + near_copy_class(91, ALPHABET_B, 12, prefix="n")
+        + near_copy_class(92, "ABCDEFGHIJKLM", 4, prefix="u")
+    )
+    classes = {
+        "mixed": Multiset(mixed),
+        "other": Multiset(near_copy_class(70, "0123456789", 10, prefix="d")),
+    }
+    owner = {e.id: label for label, ms in classes.items() for e in ms}
+    recursive_partition(calc, classes, PartitionConfig(min_size=0.15, seed=0))
+    for ms, min_size in calls:
+        class_size = len(classes[owner[ms.ids()[0]]])
+        assert min_size == resolve_min_size(0.15, class_size)
+    assert any(len(ms) < len(classes[owner[ms.ids()[0]]]) for ms, _ in calls)  # a child node
