@@ -15,7 +15,6 @@ from .classify import (
     TestItem,
     classify_items,
     delta_ncd1,
-    delta_scores,
     loocv,
     wilson_ci,
 )
@@ -99,7 +98,6 @@ __all__ = [
     "classify_items",
     "compress_len",
     "delta_ncd1",
-    "delta_scores",
     "fit_quantizer",
     "get_backend",
     "image_to_bitstream",

@@ -7,7 +7,9 @@ mean-pairwise-distance classifier is kept as the baseline, and leave-one-out
 cross-validation reports accuracy with a Wilson score interval.
 
 ``classify_items`` is the one scoring path, shared by the library, the
-``classify`` command and ``loocv``. It plans, then scores: a batch of
+``classify`` command, ``loocv``, ``delta_ncd1`` and ``partition --item``,
+and the one place an unknown method or an empty class is refused. It
+plans, then scores: a batch of
 ``(item, classes)`` cases asks for all its compressed sizes in one map
 (``NcdCalculator.g_profiles`` over the distinct ``C + x`` and ``C`` for
 delta-ncd1, ``NcdCalculator.ncd_pairs`` over every item-member pair for
@@ -23,7 +25,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
-from .errors import CorpusError, DegenerateInputError
+from .errors import CorpusError
 from .multiset import Element, Multiset
 from .ncd import NcdCalculator
 
@@ -116,27 +118,18 @@ def wilson_ci(p_hat: float, n: int, level: float = 0.95) -> tuple[float, float]:
 
 def delta_ncd1(calc: NcdCalculator, x: Element, klass: Multiset) -> float:
     """Change of the un-maximized distance when one occurrence of x joins the class."""
-    return delta_scores(calc, x, {"": klass})[""]
+    return classify_items(calc, [(TestItem(x), {"": klass})], "delta-ncd1")[0].scores[""]
 
 
 Case = tuple[TestItem, Mapping[str, Multiset]]
-
-
-def _check_classes(classes: Mapping[str, Multiset]) -> None:
-    if not classes:
-        raise CorpusError("no classes to score against")
 
 
 def _delta_batch(calc: NcdCalculator, cases: Sequence[Case]) -> list[dict[str, float]]:
     """delta-ncd1 of each case's item against each of its classes, from one plan."""
     wanted = []
     for item, classes in cases:
-        _check_classes(classes)
         for label in sorted(classes):
-            klass = classes[label]
-            if len(klass) < 2:
-                raise DegenerateInputError(f"class needs >= 2 members, got {len(klass)}")
-            wanted += [klass.add(item.element), klass]
+            wanted += [classes[label].add(item.element), classes[label]]
     ncd1 = iter([profile.ncd1() for profile in calc.g_profiles(wanted)])
     deltas = iter([with_x - without for with_x, without in zip(ncd1, ncd1)])
     return [{label: next(deltas) for label in sorted(classes)} for _, classes in cases]
@@ -146,10 +139,7 @@ def _mean_distance_batch(calc: NcdCalculator, cases: Sequence[Case]) -> list[dic
     """Mean pairwise distance of each case's item to each of its classes, from one plan."""
     pairs = []
     for item, classes in cases:
-        _check_classes(classes)
         for label in sorted(classes):
-            if len(classes[label]) == 0:
-                raise CorpusError(f"class {label!r} is empty")
             pairs += [(item.element, m) for m in classes[label]]
     distances = iter(calc.ncd_pairs(pairs))
     return [
@@ -159,12 +149,6 @@ def _mean_distance_batch(calc: NcdCalculator, cases: Sequence[Case]) -> list[dic
         }
         for _, classes in cases
     ]
-
-
-def delta_scores(
-    calc: NcdCalculator, x: Element, classes: Mapping[str, Multiset]
-) -> dict[str, float]:
-    return _delta_batch(calc, [(TestItem(x), classes)])[0]
 
 
 def _argmin_label(scores: Mapping[str, float]) -> str:
@@ -185,6 +169,14 @@ def classify_items(
     Every size the batch needs is compressed in one map before any score is
     computed; the results equal scoring the cases one at a time.
     """
+    if method not in SCORERS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    for _, classes in cases:
+        if not classes:
+            raise CorpusError("no classes to score against")
+        for label in sorted(classes):
+            if len(classes[label]) == 0:
+                raise CorpusError(f"class {label!r} is empty")
     scores = SCORERS[method](calc, cases)
     return [
         ItemResult(item.element.id, item.label, _argmin_label(s), s)
@@ -206,8 +198,6 @@ def loocv(
     ``classify_items`` batch, so the whole LOOCV compresses in one map;
     results assemble in corpus order, and ``ci`` is the 95% ``wilson_ci``.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     classes = corpus.classes
     if len(classes) < 2:
         raise CorpusError(f"LOOCV needs >= 2 classes, got {len(classes)}")

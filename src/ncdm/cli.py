@@ -1,11 +1,14 @@
 """Command-line interface.
 
 Every subcommand prints one JSON report to stdout and a one-line human
-summary to stderr. Exit codes: 0 on success; 1 on degenerate input or an
-input file that cannot be read, parsed or converted (``error: ...``); 2 on a
-usage error (``usage error: ...``). An input file's error starts with its
-path, ``error: PATH: ...``. ``--jobs`` bounds the worker pool and can only
-change wall time, so it is not echoed into reports.
+summary to stderr. Exit codes: 0 on success; 1 on degenerate input, an input
+file that cannot be read, parsed or converted, or a stdout closed before the
+whole report is written (``error: ...``); 2 on a usage error (``usage error:
+...``). An input file's error starts with its path, ``error: PATH: ...``,
+and so does ``image2bits``'s refusal of an image whose bitstream, H * W *
+scale**2 bytes, is above ``ingest.MAX_BITSTREAM_BYTES`` (2**28). ``--jobs``
+bounds the worker pool and can only change wall time, so it is not echoed
+into reports.
 
 Every report starts with ``"command"``. The subcommands that compress
 (``pair``, ``multiset``, ``matrix``, ``classify``, ``loocv``, ``partition``)
@@ -406,7 +409,10 @@ def _cmd_image2bits(args) -> tuple[dict, str]:
     if not named:
         raise UsageError("no images given; pass PGM files or --idx")
     targets = _targets(args.out, [(source, img.name) for source, img in named], ".bits")
-    elements = [image_to_bitstream(img, scale=args.scale) for _, img in named]
+    elements = []
+    for source, img in named:
+        with reading(source):  # a --scale too large for the image names its file
+            elements.append(image_to_bitstream(img, scale=args.scale))
     written = []
     with _writing("--out", args.out):
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -526,7 +532,15 @@ def main(argv: list[str] | None = None) -> int:
     except NcdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    print(json.dumps({"command": args.command, **report}, indent=2))
+    try:
+        print(json.dumps({"command": args.command, **report}, indent=2))
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+    except BrokenPipeError:  # the recipe of the Python signal docs
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot fail again
+        os.close(devnull)
+        print("error: stdout was closed before the report was written", file=sys.stderr)
+        return 1
     print(summary, file=sys.stderr)
     return 0
 

@@ -178,8 +178,9 @@ class ExternalBackend(CompressorBackend):
 def get_backend(spec: str) -> CompressorBackend:
     """Build a backend from a short spec string.
 
-    Accepted forms: ``bz2``/``bzip2`` (optionally ``bz2:LEVEL``), ``zlib`` /
-    ``deflate`` (optionally ``zlib:LEVEL``), and ``cmd:COMMAND ARGS...``.
+    Accepted forms, in any letter case: ``bz2`` or ``bzip2`` and ``zlib`` or
+    ``deflate``, each optionally ``:LEVEL`` with LEVEL 1 to 9, and
+    ``cmd:COMMAND ARGS...``. Anything else is a ``ValueError``.
     """
     if spec.startswith("cmd:"):
         return ExternalBackend(shlex.split(spec[4:]))
@@ -187,7 +188,7 @@ def get_backend(spec: str) -> CompressorBackend:
     name = name.lower()
     if name in ("bz2", "bzip2"):
         return Bz2Backend(int(level)) if level else Bz2Backend()
-    if name in ("zlib", "deflate", "gzip"):
+    if name in ("zlib", "deflate"):
         return ZlibBackend(int(level)) if level else ZlibBackend()
     raise ValueError(f"unknown backend {spec!r} (expected bz2, zlib, or cmd:...)")
 
@@ -452,7 +453,7 @@ def normality_report(
 
     rng = random.Random(seed)
     report = NormalityReport(backend=backend.name)
-    sizes: dict[str, int] = {}
+    sizes: dict[bytes, int] = {}  # singleton sizes by content digest
 
     def tol_for(n_bytes: int) -> int:
         return default_tolerance(n_bytes) if tolerance is None else tolerance
@@ -463,9 +464,9 @@ def normality_report(
             report.violations[prop].append(NormalityViolation(ids, slack, tol))
 
     def g_single(e: Element) -> int:
-        if e.id not in sizes:
-            sizes[e.id] = compress_len(backend, e.data)
-        return sizes[e.id]
+        if e.digest not in sizes:
+            sizes[e.digest] = compress_len(backend, e.data)
+        return sizes[e.digest]
 
     def g_pair(x: Element, y: Element) -> int:
         # Framed in the given order, not the canonical one: symmetry is a

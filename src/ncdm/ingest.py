@@ -31,6 +31,8 @@ QUANT_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345678
 MAX_SYMBOLS = len(QUANT_ALPHABET)
 _ALPHABET_BYTES = np.frombuffer(QUANT_ALPHABET, dtype=np.uint8)
 
+MAX_BITSTREAM_BYTES = 2**28  # about 20,000 times a 28x28 digit at scale 4
+
 
 @contextmanager
 def reading(path: str | Path) -> Iterator[None]:
@@ -220,11 +222,16 @@ def image_to_bitstream(img: GrayImage, scale: int = 4) -> Element:
     Binarizing first and upscaling the bits gives the same bytes: upscaling
     repeats every pixel ``scale**2`` times, which multiplies every class
     count and sum in ``otsu_threshold`` by one factor and leaves its exact
-    comparisons, hence the threshold, unchanged.
+    comparisons, hence the threshold, unchanged. A stream of H * W * scale**2
+    bytes above ``MAX_BITSTREAM_BYTES`` is refused before anything is built.
     """
     if scale < 1:
         raise ValueError("scale must be >= 1")
     arr = np.asarray(img.pixels)
+    if (size := arr.size * scale * scale) > MAX_BITSTREAM_BYTES:
+        raise ValueError(
+            f"scale {scale} makes a {size}-byte bitstream; the limit is {MAX_BITSTREAM_BYTES}"
+        )
     bits = np.where(arr > otsu_threshold(arr), np.uint8(ord("1")), np.uint8(ord("0")))
     scaled = np.repeat(np.repeat(bits, scale, axis=0), scale, axis=1)
     return Element(scaled.tobytes(), id=img.name)

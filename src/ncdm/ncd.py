@@ -63,10 +63,6 @@ class NcdValue:
     witness: Multiset | None = None
 
 
-def _pairwise(gx: int, gy: int, gxy: int) -> float:
-    return (gxy - min(gx, gy)) / max(gx, gy)
-
-
 @dataclass(frozen=True)
 class GProfile:
     """Compressed sizes entering the ncd1 ratio for one multiset."""
@@ -229,7 +225,7 @@ class NcdCalculator:
         for ms in multisets:
             n = len(ms)
             if n < 2:
-                raise DegenerateInputError(f"need >= 2 elements, got {n}")
+                raise DegenerateInputError(f"ncd1 needs >= 2 elements, got {n}")
             whole = plan.ask(ms)
             if whole not in layouts:
                 layouts[whole] = (
@@ -262,11 +258,8 @@ class NcdCalculator:
         return NcdValue(self.ncd_pairs([(x, y)])[0], "pairwise")
 
     def ncd_pairs(self, pairs: Sequence[tuple[Element, Element]]) -> list[float]:
-        """``ncd_pairwise(x, y).value`` of each pair, from one map over every singleton and pair."""
-        sizes = self._sizes(
-            [ms for x, y in pairs for ms in (Multiset([x]), Multiset([y]), Multiset([x, y]))]
-        )
-        return [_pairwise(*sizes[i : i + 3]) for i in range(0, len(sizes), 3)]
+        """``ncd_pairwise(x, y).value`` of each pair: the ncd1 of ``{x, y}``, from one map."""
+        return [profile.ncd1() for profile in self.g_profiles([Multiset(pair) for pair in pairs])]
 
     def ncd_exact(self, ms: Multiset, max_card: int = DEFAULT_MAX_CARD) -> NcdValue:
         """Maximum of ncd1 over every sub-multiset with >= 2 members.
@@ -337,7 +330,7 @@ class NcdCalculator:
         into ``backend.after``, and each pair on a miss compresses only the
         framed y from there. n distinct elements cost n + n(n-1)/2 size
         requests. The scores are one array expression over every id, equal
-        bit for bit to ``_pairwise`` of the same sizes.
+        bit for bit to the ncd1 of each pair's ``GProfile``.
         """
         els = list(elements)
         if len(els) < 2:
@@ -365,9 +358,9 @@ class NcdCalculator:
             gxy[r, m - len(sizes) :] = gxy[m - len(sizes) :, r] = sizes
         column = {x.digest: c for c, x in enumerate(distinct)}
         at = [column[e.digest] for e in els]
-        # _pairwise over every id at once: each size is an integer below 2**53,
-        # so the float subtraction is exact and the division rounds as
-        # Python's int / int does.
+        # The pairwise ncd1 over every id at once: each size is an integer
+        # below 2**53, so the float subtraction is exact and the division
+        # rounds as Python's int / int does.
         g = np.array(singles, dtype=np.float64)
         matrix = gxy[np.ix_(at, at)]
         matrix -= np.minimum.outer(g, g)

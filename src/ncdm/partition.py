@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .classify import delta_scores
+from .classify import TestItem, classify_items
 from .errors import DegenerateInputError
 from .multiset import Element, Multiset
 from .ncd import NcdCalculator
@@ -42,11 +42,6 @@ class Margin:
 
 def _margins(calc: NcdCalculator, pairs: Sequence[tuple[Multiset, Multiset]]) -> list[Margin]:
     """The margin of each pair ``(a, b)``, from one plan over every union and side."""
-    for a, b in pairs:
-        if len(a) < 2 or len(b) < 2:
-            raise DegenerateInputError(
-                f"margin needs >= 2 members per side, got {len(a)} and {len(b)}"
-            )
     wanted = [ms for a, b in pairs for ms in (a.union(b), a, b)]
     ratios = iter([profile.ncd1() for profile in calc.g_profiles(wanted)])
     return [Margin(union - va - vb, union, va, vb) for union, va, vb in zip(ratios, ratios, ratios)]
@@ -119,9 +114,8 @@ def _repair_min_side(
     # legal throughout, so top a starved side up with whichever foreign
     # non-seed elements sit closest to its seed. Seeds never move, so every
     # candidate's distance to either seed is in ``seed_distance``.
-    floor = max(2, min(min_side, len(side) - min_side))
     for which in (0, 1):
-        while sum(1 for s in side if s == which) < floor:
+        while sum(1 for s in side if s == which) < min_side:
             candidates = [
                 i
                 for i in range(len(side))
@@ -164,7 +158,7 @@ def _klists_restart(
             own = side[k]
             pos = positions[own]
             positions[own] += 1
-            if len(sides[own]) <= max(min_side, 2):
+            if len(sides[own]) <= min_side:
                 # the search honors the minimum side size throughout, which
                 # also keeps both ratios well-defined
                 continue
@@ -332,7 +326,7 @@ def min_class_distances(
         for label in tree.roots
         for i, leaf in enumerate(tree.leaves(label))
     }
-    deltas = delta_scores(calc, x, leaves)
+    deltas = classify_items(calc, [(TestItem(x), leaves)], "delta-ncd1")[0].scores
     return {
         label: sorted(d for (owner, _), d in deltas.items() if owner == label)[:k]
         for label in sorted(tree.roots)

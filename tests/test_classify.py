@@ -176,6 +176,19 @@ def test_empty_class_map_rejected(calc):
         predict(calc, random_text_element(1, 64, "x"), {})
 
 
+@pytest.mark.parametrize("method", ncdm.classify.METHODS)
+def test_empty_class_rejected_by_every_method(calc, method):
+    classes = {"full": Multiset([random_text_element(2 + i, 64, f"m{i}") for i in range(2)])}
+    with pytest.raises(CorpusError, match="class 'void' is empty"):
+        predict(calc, random_text_element(1, 64, "x"), {**classes, "void": Multiset()}, method)
+
+
+def test_classify_items_rejects_an_unknown_method(calc, two_generator_corpus):
+    case = (Item(random_text_element(1, 64, "x")), two_generator_corpus.classes)
+    with pytest.raises(ValueError, match="unknown method 'centroid'"):
+        classify_items(calc, [case], "centroid")
+
+
 # -- loocv ---------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 import json
+import os
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -691,6 +693,7 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         ("limit-0", 2),
         ("two-pgms-one-output", 2),
         ("idx-zero-rows", 1),
+        ("scale-too-large", 1),
     ],
 )
 def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
@@ -702,6 +705,7 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         "pgm-without-maxval": b"P5\n8 8\n",
         "pgm-maxval-0": b"P5 2 1 0\n\x05\x07",
         "pgm-pixel-above-maxval": b"P5\n8 8\n62\n" + pixels,
+        "scale-too-large": b"P5\n1 1\n255\n\x80",
     }.get(case, b"P5\n8 8\n255\n" + pixels))
     idx = tmp_path / "digits.idx"
     idx.write_bytes(b"\x00\x00\x08\x01" + (1).to_bytes(4, "big") + b"\x00\x00\x00\x02" * 2 + b"\x00" * 4)
@@ -725,6 +729,7 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         "limit-0": ["--idx", str(good_idx), "--limit", "0"],
         "two-pgms-one-output": [str(pgm), str(other)],
         "idx-zero-rows": ["--idx", str(idx)],
+        "scale-too-large": [str(pgm), "--scale", "1000000"],
     }[case]
     out = tmp_path / "bits"
     code, report, err = run(capsys, "image2bits", "--out", str(out), *flags)
@@ -741,9 +746,27 @@ def test_image2bits_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, 
         assert err.startswith(f"error: {idx}: image must be a 2-D pixel grid, got shape (0, 2)")
     if case.startswith("limit-"):
         assert err.startswith("usage error: --limit must be >= 1")
+    if case == "scale-too-large":
+        assert err.startswith(f"error: {pgm}: scale 1000000 makes a 1000000000000-byte")
     assert not out.exists()
     if case == "two-pgms-one-output":
         assert f"{pgm} and {other} would both write {out / 'img.bits'}" in err
+
+
+def test_closed_stdout_exits_one_without_a_traceback(tmp_path, capsys, monkeypatch):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    a.write_bytes(b"alpha beta gamma " * 40)
+    b.write_bytes(b"delta epsilon zeta " * 40)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone, as after `| head -c 1`
+    stdout = open(write_end, "w")  # its writes raise BrokenPipeError
+    monkeypatch.setattr(sys, "stdout", stdout)
+    try:
+        code = main(["pair", str(a), str(b), "--backend", "zlib"])
+    finally:
+        stdout.close()
+    assert code == 1
+    assert capsys.readouterr().err == "error: stdout was closed before the report was written\n"
 
 
 def test_quantize_two_inputs_that_write_one_file_are_refused(tmp_path, capsys):
@@ -784,6 +807,7 @@ def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monke
         (["classify", "ITEM", "--classes", "ROOT", "--test", "MISSING"], "--test"),
         (["classify", "ITEM", "--classes", "ROOT", "--method", "nearest"], "--method"),
         (["pair", "ITEM", "ITEM", "--backend", "zlib:12"], "--backend"),
+        (["pair", "ITEM", "ITEM", "--backend", "gzip"], "--backend"),
         (["pair", "ITEM", "ITEM", "--unknown"], "--unknown"),
     ],
     ids=[
@@ -795,6 +819,7 @@ def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monke
         "test-missing",
         "method-unknown",
         "backend-level",
+        "backend-gzip",
         "unknown-flag",
     ],
 )

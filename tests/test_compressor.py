@@ -75,8 +75,9 @@ def test_backend_kinds_and_names():
     assert get_backend("bz2").name == "bz2-9"
     assert get_backend("zlib:9").level == 9
     assert get_backend("cmd:gzip -9").argv == ("gzip", "-9")
-    with pytest.raises(ValueError):
-        get_backend("nonesuch")
+    for spec in ("nonesuch", "gzip"):  # zlib is not gzip: gzip's sizes differ
+        with pytest.raises(ValueError):
+            get_backend(spec)
 
 
 def test_external_backend_counts_stdout_bytes():
@@ -408,6 +409,13 @@ def test_normality_determinism_probe():
     ]
     for violation in drifting.violations["determinism"]:
         assert violation.slack == 1 and violation.tolerance == 0
+
+
+def test_normality_sizes_each_content_as_itself_whatever_its_id():
+    corpus = [Element(b"x" * 64, "x"), random_text_element(31, 1024, "x")]
+    report = normality_report(ZlibBackend(), corpus, tolerance=0, seed=0)
+    assert report.checks["determinism"] == 2 + 1
+    assert report.violations["determinism"] == []
 
 
 class ChunkSensitiveBackend(ZlibBackend):

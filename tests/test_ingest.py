@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ncdm.ingest
 from ncdm import (
     CorpusError,
     GrayImage,
@@ -322,6 +323,17 @@ def test_bitstream_rejects_bad_scale():
     img = GrayImage(np.zeros((4, 4), dtype=np.uint8), name="x")
     with pytest.raises(ValueError):
         image_to_bitstream(img, scale=0)
+
+
+def test_bitstream_refuses_a_stream_above_the_limit_before_building_it(monkeypatch):
+    dot = GrayImage(np.array([[200]], dtype=np.uint8), name="dot")
+    with pytest.raises(ValueError, match="scale 1000000 makes a 1000000000000-byte bitstream"):
+        image_to_bitstream(dot, scale=10**6)
+    monkeypatch.setattr(ncdm.ingest, "MAX_BITSTREAM_BYTES", 16)
+    square = GrayImage(np.arange(4, dtype=np.uint8).reshape(2, 2), name="sq")
+    assert len(image_to_bitstream(square, scale=2).data) == 16  # at the limit
+    with pytest.raises(ValueError, match="makes a 36-byte bitstream; the limit is 16"):
+        image_to_bitstream(square, scale=3)
 
 
 # -- file readers --------------------------------------------------------------

@@ -518,15 +518,15 @@ def test_matrix_is_pairwise_bit_for_bit_and_shares_pair_keys(payloads, repeats, 
     pairs = list(itertools.combinations(range(len(elements)), 2))
     for i, j in pairs:
         x, y = elements[i], elements[j]
-        expected = ncdm.ncd._pairwise(
-            g(Multiset([x])), g(Multiset([y])), g(Multiset([x, y]))
-        )
+        gx, gy, gxy = g(Multiset([x])), g(Multiset([y])), g(Multiset([x, y]))
+        expected = (gxy - min(gx, gy)) / max(gx, gy)
         assert dm.values[i, j].hex() == dm.values[j, i].hex() == expected.hex()
     assert not np.diagonal(dm.values).any()
     # A cache warmed by ncd_pairs over the same pairs answers every size the
     # matrix asks for, so its pair keys are request_key((x, y)).
     warm = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=jobs)
-    warm.ncd_pairs([(elements[i], elements[j]) for i, j in pairs])
+    values = warm.ncd_pairs([(elements[i], elements[j]) for i, j in pairs])
+    assert [v.hex() for v in values] == [dm.values[i, j].hex() for i, j in pairs]
     cache = warm.cache
     jobs_before, lookups_before, hits_before = cache.job_count, cache.lookups, cache.hits
     again = warm.distance_matrix(elements)
