@@ -8,8 +8,8 @@ cross-validation reports accuracy with a Wilson score interval.
 
 ``classify_items`` is the one scoring path, shared by the library, the
 ``classify`` command, ``loocv``, ``delta_ncd1`` and ``partition --item``,
-and the one place an unknown method or an empty class is refused. It
-plans, then scores: a batch of
+and the one place an unknown method, an empty class or a one-member class
+under delta-ncd1 is refused. It plans, then scores: a batch of
 ``(item, classes)`` cases asks for all its compressed sizes in one map
 (``NcdCalculator.g_profiles`` over the distinct ``C + x`` and ``C`` for
 delta-ncd1, ``NcdCalculator.ncd_pairs`` over every item-member pair for
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from statistics import NormalDist
 from typing import Mapping, Sequence
 
-from .errors import CorpusError
+from .errors import CorpusError, DegenerateInputError
 from .multiset import Element, Multiset
 from .ncd import NcdCalculator
 
@@ -175,8 +175,13 @@ def classify_items(
         if not classes:
             raise CorpusError("no classes to score against")
         for label in sorted(classes):
-            if len(classes[label]) == 0:
+            n = len(classes[label])
+            if n == 0:
                 raise CorpusError(f"class {label!r} is empty")
+            if n == 1 and method == "delta-ncd1":  # it scores the class's own ncd1
+                raise DegenerateInputError(
+                    f"delta-ncd1 needs >= 2 members per class; class {label!r} has 1"
+                )
     scores = SCORERS[method](calc, cases)
     return [
         ItemResult(item.element.id, item.label, _argmin_label(s), s)

@@ -28,8 +28,9 @@ unknown flag, a missing ``--classes``) read ``usage error: ...`` too, and
 the backend is ``$NCDM_BACKEND``, or bz2 if it is unset or empty; a bad value
 is a usage error naming ``$NCDM_BACKEND``. The subcommand checks
 rules that join values, still before any work: ``--track-len LO HI`` needs
-LO <= HI, and no two inputs of ``quantize`` or ``image2bits`` may write one
-output file. An ``OSError`` while writing an output is a usage error too.
+LO <= HI <= ``datagen.MAX_TRACK_LEN`` (2**20 samples, so one track stays under
+ingest's 2**28 bytes), and no two inputs of ``quantize`` or ``image2bits`` may
+write one output file. An ``OSError`` while writing an output is a usage error too.
 
 A ``--cache`` snapshot starts with the line ``# ncdm-sizes v2 BACKEND``
 followed by one ``sha256-hex<TAB>size`` record per line. A record's digest is
@@ -55,7 +56,7 @@ from pathlib import Path
 from . import __version__
 from .classify import METHODS, TestItem, classify_items, loocv
 from .compressor import FRAMING_MODES, SizeCache, get_backend, normality_report
-from .datagen import CellModelParams, simulate_population, write_population
+from .datagen import MAX_TRACK_LEN, CellModelParams, simulate_population, write_population
 from .errors import NcdmError
 from .ingest import (
     MAX_SYMBOLS,
@@ -338,7 +339,7 @@ def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
 
 
 def _cmd_gen_synthetic(args) -> tuple[dict, str]:
-    with _reraise(UsageError):  # --track-len LO HI with LO > HI
+    with _reraise(UsageError):  # --track-len LO > HI, or HI > MAX_TRACK_LEN
         params = CellModelParams(
             upsilon=args.upsilon,
             population_limit=args.population_limit,
@@ -476,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-size", type=_MIN_SIZE, default="2", help="member count or percentage like 30%%"
     )
     p.add_argument("--stop-margin", type=_arg(float, math.isfinite, "must be finite, got {}"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--item", type=_FILE, help="also score this file against the leaves")
     p.add_argument("-k", type=_at_least(1), default=2, help="distances kept per class for --item")
     _add_common(p)
@@ -486,10 +487,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--upsilon", type=_UPSILON, required=True, help="growth exponent")
     p.add_argument("--cells", type=_at_least(1), default=60)
     p.add_argument("--out", type=_OUT_DIR, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--population-limit", type=_at_least(1), default=None)
     p.add_argument(
-        "--track-len", type=_at_least(2), nargs=2, default=(228, 280), metavar=("LO", "HI")
+        "--track-len",
+        type=_at_least(2),
+        nargs=2,
+        default=(228, 280),
+        metavar=("LO", "HI"),
+        help=f"samples per track, 2 <= LO <= HI <= {MAX_TRACK_LEN}",
     )
     p.set_defaults(handler=_cmd_gen_synthetic)
 

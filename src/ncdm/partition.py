@@ -74,6 +74,8 @@ class PartitionConfig:
             raise ValueError("fractional min_size must be in (0, 1)")
         if isinstance(self.min_size, int) and self.min_size < 2:
             raise ValueError("min_size must be >= 2")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def resolve_min_size(min_size: int | float, class_size: int) -> int:
@@ -254,9 +256,14 @@ def _node_seed(base_seed: int, class_index: int, node_index: int) -> int:
 
 
 def min_inter_class_margin(calc: NcdCalculator, classes: Mapping[str, Multiset]) -> float:
-    """Smallest margin over all unordered pairs of classes."""
+    """Smallest margin over all unordered pairs of classes; each class needs >= 2 members."""
     if len(classes) < 2:
         raise DegenerateInputError("need >= 2 classes to measure separation")
+    for label in sorted(classes):
+        if len(classes[label]) < 2:
+            raise DegenerateInputError(
+                f"a margin needs >= 2 members per class; class {label!r} has {len(classes[label])}"
+            )
     pairs = itertools.combinations(sorted(classes), 2)
     return min(m.value for m in _margins(calc, [(classes[x], classes[y]) for x, y in pairs]))
 

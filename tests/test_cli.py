@@ -1,13 +1,20 @@
+import contextlib
+import io
 import json
 import os
 import shutil
 import sys
+import tempfile
+import unittest.mock
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ncdm.compressor
+import ncdm.datagen
 from ncdm import (
     Element,
     NcdCalculator,
@@ -18,6 +25,7 @@ from ncdm import (
     recursive_partition,
 )
 from ncdm.cli import main
+from ncdm.datagen import MAX_TRACK_LEN
 
 from .conftest import ALPHABET_A, ALPHABET_B, make_vocab, fragment_elements
 
@@ -533,6 +541,7 @@ def _count_compressions(monkeypatch) -> list[int]:
         ["--stop-margin", "nan"],
         ["--stop-margin", "inf"],
         ["--item", "MISSING"],
+        ["--seed", "-1"],
     ],
     ids=[
         "min-size-abc",
@@ -545,6 +554,7 @@ def _count_compressions(monkeypatch) -> list[int]:
         "stop-margin-nan",
         "stop-margin-inf",
         "item-missing",
+        "seed-negative",
     ],
 )
 def test_partition_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, flags):
@@ -568,8 +578,9 @@ def test_partition_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, m
         ["--upsilon", "nan"],
         ["--upsilon", "inf"],
         ["--population-limit", "0"],
+        ["--seed", "-1"],
     ],
-    ids=["upsilon", "cells", "upsilon-nan", "upsilon-inf", "population-limit-0"],
+    ids=["upsilon", "cells", "upsilon-nan", "upsilon-inf", "population-limit-0", "seed-negative"],
 )
 def test_gen_synthetic_bad_flag_is_a_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "cells"
@@ -579,6 +590,104 @@ def test_gen_synthetic_bad_flag_is_a_usage_error(tmp_path, capsys, flags):
     assert err.startswith("usage error:")
     assert not out.exists()
     assert flags[0] in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["classify", "ITEM"], "delta-ncd1 needs >= 2 members per class; class 'a' has 1"),
+        (["partition"], "a margin needs >= 2 members per class; class 'a' has 1"),
+        (["classify", "ITEM", "--method", "min"], None),
+    ],
+    ids=["classify-delta", "partition", "classify-min"],
+)
+def test_a_class_too_small_for_the_rule_is_named(tmp_path, capsys, argv, refusal):
+    root = tmp_path / "classes"
+    (root / "a").mkdir(parents=True)
+    (root / "b").mkdir()
+    (root / "a" / "a0.txt").write_bytes(b"the one member of class a")
+    for i in range(3):
+        (root / "b" / f"b{i}.txt").write_bytes(f"member {i} of class b".encode())
+    item = tmp_path / "q.txt"
+    item.write_bytes(b"an item to score")
+    argv = [str(item) if a == "ITEM" else a for a in argv]
+    code, report, err = run(capsys, *argv, "--classes", str(root), "--backend", "zlib")
+    if refusal is None:  # min-distance scores a one-member class
+        assert code == 0 and report["items"][0]["predicted"] in ("a", "b")
+    else:
+        assert code == 1 and report is None and err == f"error: {refusal}\n"
+
+
+@contextlib.contextmanager
+def _affordable_simulation(max_tracks: int, max_len: int = 60):
+    """Fail, rather than exhaust memory, if a run simulates more or longer tracks than this."""
+    real = ncdm.datagen._make_features
+    made = []
+
+    def guarded(rng, t0, lifespan, r0, params):
+        made.append(params.track_len_range)
+        assert len(made) <= max_tracks and params.track_len_range[1] <= max_len, made
+        return real(rng, t0, lifespan, r0, params)
+
+    with unittest.mock.patch.object(ncdm.datagen, "_make_features", guarded):
+        yield
+
+
+def test_gen_synthetic_refuses_a_track_too_long_to_allocate(tmp_path, capsys):
+    out = tmp_path / "cells"
+    huge = str(10**12)
+    argv = ["gen-synthetic", "--upsilon", "1", "--cells", "1", "--track-len", huge, huge]
+    with _affordable_simulation(max_tracks=0):  # refused before any track is made
+        code, report, err = run(capsys, *argv, "--out", str(out))
+    assert code == 2 and report is None
+    assert err.startswith("usage error: track_len_range") and str(MAX_TRACK_LEN) in err
+    assert "Traceback" not in err and not out.exists()
+
+
+# Valid gen-synthetic values stay small: <= 3 cells of <= 60 samples. A huge
+# --population-limit or --seed is valid and cheap, a huge --cells is valid
+# and not cheap, so only a huge --track-len value is drawn as a bad one.
+_SMALL_RUN = st.fixed_dictionaries(
+    {
+        "--upsilon": st.floats(1e-3, 1e3).map(repr),
+        "--cells": st.integers(1, 3).map(str),
+        "LO": st.integers(2, 60).map(str),
+        "HI": st.integers(2, 60).map(str),
+        "--population-limit": st.none() | st.integers(1, 10**12).map(str),
+        "--seed": st.integers(0, 2**128).map(str),
+    }
+)
+_BAD_NUMBER = st.one_of(
+    st.sampled_from(["0", "-0", "nan", "inf", "-inf", "1e400", "", "x", "2.5"]),
+    st.integers(max_value=-1).map(str),
+)
+_BAD_VALUES = st.dictionaries(
+    st.sampled_from(["--upsilon", "--cells", "--population-limit", "--seed"]), _BAD_NUMBER
+) | st.dictionaries(
+    st.sampled_from(["LO", "HI"]), _BAD_NUMBER | st.integers(MAX_TRACK_LEN + 1).map(str)
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(values=_SMALL_RUN, bad=_BAD_VALUES)
+def test_gen_synthetic_exits_0_or_2_for_any_flag_values(values, bad):
+    values = {**values, **bad}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "cells"
+        argv = ["gen-synthetic", "--track-len", values.pop("LO"), values.pop("HI")]
+        argv += [f"{flag}={value}" for flag, value in values.items() if value is not None]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with _affordable_simulation(max_tracks=20):
+                code = main([*argv, "--out", str(out)])
+        err = stderr.getvalue()
+        assert code in (0, 2)
+        if code == 0:
+            assert json.loads(stdout.getvalue())["n_cells"] == int(values["--cells"])
+            assert (out / "manifest.json").is_file()
+        else:
+            assert err.startswith("usage error:") and err.count("\n") == 1
+            assert stdout.getvalue() == "" and not out.exists()
 
 
 @pytest.mark.parametrize(

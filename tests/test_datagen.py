@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -9,6 +10,10 @@ from hypothesis import strategies as st
 from ncdm import datagen
 from ncdm.datagen import (
     FEATURE_NAMES,
+    LIFESPAN_SCALE,
+    LIFESPAN_SHAPE,
+    R0_SCALE,
+    R0_SHAPE,
     CellModelParams,
     cell_radius,
     simulate_population,
@@ -28,26 +33,26 @@ def params(upsilon=3.0, **kw) -> CellModelParams:
 # ----------------------------------------------------------------------
 
 
-def oracle_run_and_tumble(rng: np.random.Generator, n_steps: int, p: CellModelParams) -> np.ndarray:
+def oracle_run_and_tumble(rng, n_steps, run_mean, tumble_mean, speed, jitter) -> np.ndarray:
     pos = np.zeros((n_steps, 3))
     cur = np.zeros(3)
     i = 1
     while i < n_steps:
-        run_len = max(1, int(round(rng.exponential(p.run_duration_mean))))
+        run_len = max(1, int(round(rng.exponential(run_mean))))
         direction = _unit_vector(rng)
         for _ in range(run_len):
             if i >= n_steps:
                 break
-            cur = cur + p.run_speed * direction
+            cur = cur + speed * direction
             pos[i] = cur
             i += 1
         if i >= n_steps:
             break
-        tumble_len = max(1, int(round(rng.exponential(p.tumble_duration_mean))))
+        tumble_len = max(1, int(round(rng.exponential(tumble_mean))))
         for _ in range(tumble_len):
             if i >= n_steps:
                 break
-            cur = cur + p.run_speed * p.tumble_step_scale * rng.normal(size=3)
+            cur = cur + speed * jitter * rng.normal(size=3)
             pos[i] = cur
             i += 1
     return pos
@@ -74,15 +79,10 @@ def oracle_turn_angles(deltas: np.ndarray) -> np.ndarray:
     jitter=st.floats(0.0, 2.0),
 )
 def test_run_and_tumble_matches_the_loop_bit_for_bit(seed, n_steps, run_mean, tumble_mean, speed, jitter):
-    p = params(
-        run_duration_mean=run_mean,
-        tumble_duration_mean=tumble_mean,
-        run_speed=speed,
-        tumble_step_scale=jitter,
-    )
+    kinematics = (run_mean, tumble_mean, speed, jitter)
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    got = _run_and_tumble(rng, n_steps, p)
-    want = oracle_run_and_tumble(oracle_rng, n_steps, p)
+    got = _run_and_tumble(rng, n_steps, *kinematics)
+    want = oracle_run_and_tumble(oracle_rng, n_steps, *kinematics)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
@@ -160,16 +160,33 @@ def test_radius_outside_lifespan_rejected():
         cell_radius(-1.0, 0.0, 10.0, 500.0, 3.0)
     with pytest.raises(ValueError):
         cell_radius(501.0, 0.0, 10.0, 500.0, 3.0)
+    with pytest.raises(ValueError):  # one sample past the end fails the whole array
+        cell_radius(np.array([0.0, 250.0, 501.0]), 0.0, 10.0, 500.0, 3.0)
+
+
+def test_radius_accepts_a_last_sample_time_rounded_past_the_end():
+    times = 437.1 * np.arange(4) / 3  # the last is 437.1 plus one ulp
+    assert times[-1] > 437.1
+    assert cell_radius(times, 0.0, 10.0, 437.1, 3.0)[-1] == pytest.approx(20.0)
+
+
+def test_radius_column_is_cell_radius_of_the_sample_times():
+    """The growth law that runs is the one tested above, bit for bit, sample times included."""
+    col = FEATURE_NAMES.index("radius")
+    for upsilon in (0.9, 3.0):
+        for t in simulate_population(params(upsilon=upsilon, seed=8), 12):
+            rows = t.features.shape[0]
+            r0 = t.features[0, col]
+            times = t.birth_time + t.lifespan * np.arange(rows) / (rows - 1)
+            want = cell_radius(times, t.birth_time, r0, t.lifespan, upsilon)
+            assert t.features[:, col].tobytes() == want.tobytes()
 
 
 # -- parameter draws -------------------------------------------------------
 
 
 def test_gamma_lifespan_moments():
-    p = params(seed=11)
-    draws = np.array(
-        [_cell_rng(p.seed, i).gamma(p.lifespan_shape, p.lifespan_scale) for i in range(100_000)]
-    )
+    draws = np.array([_cell_rng(11, i).gamma(LIFESPAN_SHAPE, LIFESPAN_SCALE) for i in range(100_000)])
     mean, var = draws.mean(), draws.var()
     se_mean = math.sqrt(50 * 100) / math.sqrt(len(draws))
     assert abs(mean - 500.0) <= 3 * se_mean
@@ -179,8 +196,7 @@ def test_gamma_lifespan_moments():
 
 
 def test_gamma_initial_radius_moments():
-    p = params(seed=12)
-    draws = np.array([_cell_rng(p.seed, i + 500_000).gamma(p.r0_shape, p.r0_scale) for i in range(100_000)])
+    draws = np.array([_cell_rng(12, i + 500_000).gamma(R0_SHAPE, R0_SCALE) for i in range(100_000)])
     assert abs(draws.mean() - 10.0) <= 0.05
     assert abs(draws.var() - 200 * 0.05**2) <= 0.05
 
@@ -214,6 +230,22 @@ def test_population_limit_respected_and_fates():
     divided = sum(t.fate == "divided" for t in tracks)
     # each division creates two cells; total created stays within the limit
     assert 1 + 2 * divided <= n + 2
+
+
+def test_simulation_stops_once_the_requested_cells_have_fates(monkeypatch):
+    """A population limit far above the cell count costs a few generations, not the limit."""
+    spawned = []
+    make_features = datagen._make_features
+    monkeypatch.setattr(
+        datagen, "_make_features", lambda *args: spawned.append(1) or make_features(*args)
+    )
+    huge = simulate_population(params(population_limit=1000, track_len_range=(2, 5)), 3)
+    assert len(spawned) <= 7  # cell 0, its two children and their four
+    assert [t.fate for t in huge] == ["divided"] * 3
+    capped = simulate_population(params(population_limit=64, track_len_range=(2, 5)), 3)
+    for a, b in zip(huge, capped, strict=True):
+        assert (a.birth_time, a.lifespan, a.fate) == (b.birth_time, b.lifespan, b.fate)
+        assert a.index == b.index and a.features.tobytes() == b.features.tobytes()
 
 
 def test_children_born_at_parent_death():
@@ -276,20 +308,53 @@ def test_params_validation():
     with pytest.raises(ValueError):
         CellModelParams(upsilon=0.0)
     with pytest.raises(ValueError):
-        CellModelParams(upsilon=1.0, lifespan_shape=-1)
-    with pytest.raises(ValueError):
         CellModelParams(upsilon=1.0, track_len_range=(10, 5))
+    with pytest.raises(ValueError, match="population_limit"):
+        CellModelParams(upsilon=1.0, population_limit=0)
     with pytest.raises(ValueError):
         simulate_population(params(), 0)
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("upsilon", math.nan), ("upsilon", math.inf), ("r0_scale", math.nan), ("lifespan_shape", math.nan)],
-)
+@pytest.mark.parametrize("field, value", [("upsilon", math.nan), ("upsilon", math.inf)])
 def test_params_refuse_nan_and_infinite_upsilon(field, value):
     with pytest.raises(ValueError, match=field):
         CellModelParams(**{"upsilon": 1.0, field: value})
+
+
+def test_params_keep_four_settings():
+    names = [f.name for f in dataclasses.fields(CellModelParams)]
+    assert names == ["upsilon", "population_limit", "track_len_range", "seed"]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("track_len_range", (2, datagen.MAX_TRACK_LEN + 1)),
+        ("track_len_range", (2, 10**12)),
+        ("seed", -1),
+    ],
+)
+def test_params_refuse_a_setting_numpy_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        CellModelParams(**{"upsilon": 1.0, field: value})
+    CellModelParams(upsilon=1.0, track_len_range=(2, datagen.MAX_TRACK_LEN))  # the bound itself
+
+
+def test_manifest_params_keep_every_model_value():
+    assert CellModelParams(upsilon=3.0).to_dict() == {
+        "upsilon": 3.0,
+        "lifespan_shape": 50.0,
+        "lifespan_scale": 10.0,
+        "r0_shape": 200.0,
+        "r0_scale": 0.05,
+        "population_limit": None,
+        "run_speed": 1.0,
+        "run_duration_mean": 10.0,
+        "tumble_duration_mean": 2.0,
+        "tumble_step_scale": 0.2,
+        "track_len_range": [228, 280],
+        "seed": 0,
+    }
 
 
 # -- output -----------------------------------------------------------------

@@ -90,6 +90,8 @@ def test_config_validation():
         PartitionConfig(min_size=1)
     with pytest.raises(ValueError):
         PartitionConfig(min_size=1.5)
+    with pytest.raises(ValueError, match="seed"):
+        PartitionConfig(seed=-1)
 
 
 def test_resolve_min_size():
@@ -247,6 +249,15 @@ def test_auto_stop_margin_is_min_over_pairs(calc):
         for x, y in (("p", "q"), ("p", "r"), ("q", "r"))
     ]
     assert stop == min(pair_margins)
+
+
+def test_inter_class_margin_names_a_one_member_class(calc):
+    classes = {
+        "p": Multiset(near_copy_class(70, ALPHABET_A, 4, prefix="p")),
+        "solo": Multiset(near_copy_class(71, ALPHABET_B, 1, prefix="s")),
+    }
+    with pytest.raises(DegenerateInputError, match="class 'solo' has 1"):
+        min_inter_class_margin(calc, classes)
 
 
 @pytest.mark.parametrize("stop_margin", [float("nan"), float("inf"), float("-inf")])
