@@ -70,9 +70,7 @@ class ClassificationReport:
     accuracy: float
     ci: tuple[float, float]
     n: int
-    method: str
-    backend: str
-    seed: int | None = None
+    method: str  # for the summary; a report's config states it
 
     def to_dict(self) -> dict:
         return {
@@ -80,9 +78,6 @@ class ClassificationReport:
             "accuracy": self.accuracy,
             "ci": list(self.ci),
             "n": self.n,
-            "method": self.method,
-            "backend": self.backend,
-            "seed": self.seed,
         }
 
     def summary(self) -> str:
@@ -193,7 +188,6 @@ def loocv(
     calc: NcdCalculator,
     corpus: LabeledCorpus,
     method: str = "delta-ncd1",
-    seed: int | None = None,
 ) -> ClassificationReport:
     """Leave-one-out cross-validation over every training element.
 
@@ -227,6 +221,4 @@ def loocv(
         ci=wilson_ci(accuracy, n),
         n=n,
         method=method,
-        backend=calc.backend.name,
-        seed=seed,
     )

@@ -12,21 +12,24 @@ into reports.
 
 Every report starts with ``"command"``. The subcommands that compress
 (``pair``, ``multiset``, ``matrix``, ``classify``, ``loocv``, ``partition``)
-then give ``"config"``: the backend name, the framing and the subcommand's
-own settings. All but ``loocv`` end with ``"compression_jobs"``, the number
-of sizes compressed rather than answered by the cache, counted after all
-work. A ``loocv`` report reads the same byte for byte whatever the cache
-holds, so a warm replay can be checked against a cold run.
+and ``compressor-check`` then give ``"config"``, the one place each setting
+is echoed: the backend name, the framing and the subcommand's own settings
+(``partition``: ``restarts``, ``max_iters``, ``min_size``, ``seed``). Those that
+compress, but ``loocv``, end with ``"compression_jobs"``, the number of sizes
+compressed rather than answered by the cache, counted after all work. A
+``loocv`` report reads the same byte for byte whatever the cache holds, so a
+warm replay can be checked against a cold run.
 
 Every flag value and every input or output path is checked at parse time,
 by its argparse ``type``, so a bad one is refused, naming the flag, before
-any input is read. Inputs must exist. ``--cache``, ``--csv`` and
+any input is read; ``--max-card`` may not exceed ``ncd.MAX_EXACT_CARD`` (16).
+Inputs must exist. ``--cache``, ``--csv`` and
 ``--save-config`` must not name a directory and must lie in an existing one;
 ``--out`` must not name a file or lie under one. argparse's own errors (an
 unknown flag, a missing ``--classes``) read ``usage error: ...`` too, and
 ``main`` returns 2 rather than raising ``SystemExit``. Without ``--backend``
 the backend is ``$NCDM_BACKEND``, or bz2 if it is unset or empty; a bad value
-is a usage error naming ``$NCDM_BACKEND``. The subcommand checks
+is a usage error naming ``$NCDM_BACKEND``. The subcommand checks, naming the flag,
 rules that join values, still before any work: ``--track-len LO HI`` needs
 LO <= HI <= ``datagen.MAX_TRACK_LEN`` (2**20 samples, so one track stays under
 ingest's 2**28 bytes), and no two inputs of ``quantize`` or ``image2bits`` may
@@ -39,12 +42,13 @@ element in canonical order, so a snapshot written under one ``--framing``
 answers nothing under the other. Sizes depend on the backend, so a snapshot
 written by another backend or an earlier version, or one that is missing the
 header or holds a line that does not parse, is a usage error (exit 2).
-So is a snapshot that cannot be read.
+So is a snapshot that cannot be read. A size has at most 15 digits.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -55,10 +59,13 @@ from pathlib import Path
 
 from . import __version__
 from .classify import METHODS, TestItem, classify_items, loocv
-from .compressor import FRAMING_MODES, SizeCache, get_backend, normality_report
+from .compressor import (
+    DEFAULT_MAX_PAIRS, DEFAULT_SAMPLE_SEED, FRAMING_MODES, SizeCache, get_backend, normality_report
+)
 from .datagen import MAX_TRACK_LEN, CellModelParams, simulate_population, write_population
 from .errors import NcdmError
 from .ingest import (
+    DEFAULT_SCALE,
     MAX_SYMBOLS,
     QuantizerConfig,
     fit_quantizer,
@@ -72,9 +79,9 @@ from .ingest import (
     reading,
 )
 from .multiset import Element, Multiset
-from .ncd import DEFAULT_MAX_CARD, NcdCalculator
+from .ncd import DEFAULT_MAX_CARD, MAX_EXACT_CARD, NcdCalculator
 from .parallel import default_jobs
-from .partition import PartitionConfig, min_class_distances, recursive_partition
+from .partition import DEFAULT_K, PartitionConfig, min_class_distances, recursive_partition
 
 BACKEND_ENV = "NCDM_BACKEND"
 
@@ -125,6 +132,7 @@ _MIN_SIZE = _arg(
 )
 _UPSILON = _arg(float, lambda u: 0 < u < math.inf, "must be positive and finite, got {}")
 _SYMBOLS = _arg(int, lambda n: 2 <= n <= MAX_SYMBOLS, f"must be in [2, {MAX_SYMBOLS}], got {{}}")
+_MAX_CARD = _arg(int, lambda n: 2 <= n <= MAX_EXACT_CARD, f"must be in [2, {MAX_EXACT_CARD}], got {{}}")
 _METHODS = {"delta": "delta-ncd1", "min": "min-distance", **{m: m for m in METHODS}}
 _METHOD = _arg(_METHODS.get, bool, f"must be one of {', '.join(_METHODS)}, got {{}}")
 _BACKEND = _arg(
@@ -148,15 +156,6 @@ _OUT_DIR = _arg(
     lambda p: next(a for a in (Path(p), *Path(p).parents) if a.exists()).is_dir(),
     "{} is a file or lies under one",
 )
-
-
-@contextmanager
-def _reraise(error: type[Exception], caught: type[Exception] | tuple = ValueError):
-    """Re-raise a library error (a bad flag value or cache snapshot) as ``error``."""
-    try:
-        yield
-    except caught as exc:
-        raise error(str(exc)) from exc
 
 
 @contextmanager
@@ -202,7 +201,7 @@ def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--framing",
         choices=FRAMING_MODES,
-        default="text",
+        default=FRAMING_MODES[0],
         help="element framing; use varint for binary inputs (default: text)",
     )
 
@@ -226,13 +225,16 @@ def _env_backend():
         raise UsageError(f"${BACKEND_ENV} {exc}") from None
 
 
+def _framed(args: argparse.Namespace, echo: dict, payload: dict) -> dict:
+    """A report's ``config`` (backend name, framing, then ``echo``), then ``payload``."""
+    return {"config": {"backend": args.backend.name, "framing": args.framing, **echo}, **payload}
+
+
 def _with_calc(handler, count_jobs: bool = True):
     """Run ``handler(args, calc)`` between loading and saving the ``--cache``
-    snapshot, and frame its report.
-
-    The handler returns ``(echo, payload, summary)``; the report is the config
-    (backend, framing, then ``echo``), the payload, and, if ``count_jobs``,
-    the compression job count, read after all of the handler's work.
+    snapshot. Its ``(echo, payload, summary)`` becomes ``_framed(args, echo,
+    payload)`` and, if ``count_jobs``, the compression job count, read after
+    all of the handler's work.
     """
 
     def run(args: argparse.Namespace) -> tuple[dict, str]:
@@ -240,14 +242,16 @@ def _with_calc(handler, count_jobs: bool = True):
         cache = SizeCache()
         snapshot = Path(args.cache) if args.cache else None
         if snapshot is not None and snapshot.is_file():
-            with _reraise(UsageError, (OSError, ValueError)):
+            try:
                 cache.load(snapshot, backend.name)
+            except (OSError, ValueError) as exc:
+                raise UsageError(str(exc)) from exc
         calc = NcdCalculator(backend, mode=args.framing, cache=cache, jobs=args.jobs)
         echo, payload, summary = handler(args, calc)
         if snapshot is not None:
             with _writing("--cache", snapshot):
                 cache.save(snapshot, backend.name)
-        report = {"config": {"backend": backend.name, "framing": calc.mode, **echo}, **payload}
+        report = _framed(args, echo, payload)
         if count_jobs:
             report["compression_jobs"] = cache.job_count
         return report, summary
@@ -315,19 +319,16 @@ def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
 
 def _cmd_loocv(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     corpus = load_corpus(args.classes)
-    result = loocv(calc, corpus, method=args.method, seed=args.seed)
+    result = loocv(calc, corpus, method=args.method)
     return {"method": args.method, "seed": args.seed}, result.to_dict(), result.summary()
 
 
 def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
-    cfg = PartitionConfig(
-        restarts=args.restarts, max_iters=args.max_iters, min_size=args.min_size, seed=args.seed
-    )
+    cfg = PartitionConfig(*(getattr(args, f.name) for f in dataclasses.fields(PartitionConfig)))
     classes = load_corpus(args.classes).classes
     element = read_element(args.item) if args.item else None  # read before any work
     tree = recursive_partition(calc, classes, cfg, stop_margin=args.stop_margin)
     payload = tree.to_dict()
-    payload["partition_config"] = payload.pop("config")  # keep the CLI echo separate
     if element is not None:
         payload["item_distances"] = {
             "id": element.id,
@@ -335,17 +336,20 @@ def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
             "distances": min_class_distances(calc, element, tree, k=args.k),
         }
     n_leaves = sum(len(tree.leaves(label)) for label in tree.roots)
-    return {}, payload, f"partitioned {len(classes)} classes into {n_leaves} leaves"
+    summary = f"partitioned {len(classes)} classes into {n_leaves} leaves"
+    return dataclasses.asdict(tree.config), payload, summary
 
 
 def _cmd_gen_synthetic(args) -> tuple[dict, str]:
-    with _reraise(UsageError):  # --track-len LO > HI, or HI > MAX_TRACK_LEN
+    try:
         params = CellModelParams(
             upsilon=args.upsilon,
             population_limit=args.population_limit,
             track_len_range=tuple(args.track_len),
             seed=args.seed,
         )
+    except ValueError as exc:  # the flag types leave only --track-len's LO <= HI <= MAX
+        raise UsageError(str(exc).replace("track_len_range", "--track-len")) from exc
     tracks = simulate_population(params, args.cells)
     with _writing("--out", args.out):
         manifest = write_population(tracks, args.out, params)
@@ -363,10 +367,7 @@ def _cmd_compressor_check(args) -> tuple[dict, str]:
         seed=args.seed,
         mode=args.framing,
     )
-    report = {
-        "config": {"backend": args.backend.name, "framing": args.framing, "seed": args.seed},
-        **result.to_dict(),
-    }
+    report = _framed(args, {"seed": args.seed}, result.to_dict())
     verdict = "normal within tolerance" if result.ok else "violations recorded"
     return report, f"{args.backend.name}: {verdict}"
 
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     style.add_argument("--heuristic", action="store_true", help="greedy chain (default)")
     style.add_argument("--exact", action="store_true", help="full subset enumeration")
     style.add_argument("--ncd1", action="store_true", help="un-maximized ratio only")
-    p.add_argument("--max-card", type=_at_least(2), default=DEFAULT_MAX_CARD, help="cap for --exact")
+    p.add_argument("--max-card", type=_MAX_CARD, default=DEFAULT_MAX_CARD, help="cap for --exact")
     _add_common(p)
     p.set_defaults(handler=_with_calc(_cmd_multiset))
 
@@ -471,29 +472,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("partition", help="margin-guided recursive bipartitioning")
     p.add_argument("--classes", type=_DIR, required=True)
-    p.add_argument("--restarts", type=_at_least(1), default=5)
-    p.add_argument("--max-iters", type=_at_least(1), default=100)
-    p.add_argument(
-        "--min-size", type=_MIN_SIZE, default="2", help="member count or percentage like 30%%"
-    )
+    p.add_argument("--restarts", type=_at_least(1))
+    p.add_argument("--max-iters", type=_at_least(1))
+    p.add_argument("--min-size", type=_MIN_SIZE, help="member count or percentage like 30%%")
     p.add_argument("--stop-margin", type=_arg(float, math.isfinite, "must be finite, got {}"))
-    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--seed", type=_at_least(0))
     p.add_argument("--item", type=_FILE, help="also score this file against the leaves")
-    p.add_argument("-k", type=_at_least(1), default=2, help="distances kept per class for --item")
+    p.add_argument(
+        "-k", type=_at_least(1), default=DEFAULT_K, help="distances kept per class for --item"
+    )
     _add_common(p)
-    p.set_defaults(handler=_with_calc(_cmd_partition))
+    p.set_defaults(handler=_with_calc(_cmd_partition), **dataclasses.asdict(PartitionConfig()))
 
     p = subs.add_parser("gen-synthetic", help="simulate a proliferating cell population")
     p.add_argument("--upsilon", type=_UPSILON, required=True, help="growth exponent")
     p.add_argument("--cells", type=_at_least(1), default=60)
     p.add_argument("--out", type=_OUT_DIR, required=True)
-    p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--population-limit", type=_at_least(1), default=None)
+    p.add_argument("--seed", type=_at_least(0), default=CellModelParams.seed)
+    p.add_argument("--population-limit", type=_at_least(1), default=CellModelParams.population_limit)
     p.add_argument(
         "--track-len",
         type=_at_least(2),
         nargs=2,
-        default=(228, 280),
+        default=CellModelParams.track_len_range,
         metavar=("LO", "HI"),
         help=f"samples per track, 2 <= LO <= HI <= {MAX_TRACK_LEN}",
     )
@@ -502,8 +503,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("compressor-check", help="normality diagnostics for a backend")
     p.add_argument("corpus", type=_DIR, help="directory of sample files")
     p.add_argument("--tolerance", type=_at_least(0), help="fixed byte slack (default: adaptive)")
-    p.add_argument("--max-pairs", type=_at_least(0), default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-pairs", type=_at_least(0), default=DEFAULT_MAX_PAIRS)
+    p.add_argument("--seed", type=int, default=DEFAULT_SAMPLE_SEED)
     _add_backend(p)
     p.set_defaults(handler=_cmd_compressor_check)
 
@@ -519,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="*", type=_FILE, help="PGM (P5) files")
     p.add_argument("--idx", type=_FILE, default=None, help="IDX-style image file")
     p.add_argument("--limit", type=_at_least(1), default=None, help="cap on IDX records")
-    p.add_argument("--scale", type=_at_least(1), default=4)
+    p.add_argument("--scale", type=_at_least(1), default=DEFAULT_SCALE)
     p.add_argument("--out", type=_OUT_DIR, required=True)
     p.set_defaults(handler=_cmd_image2bits)
 

@@ -43,10 +43,13 @@ SNAPSHOT_HEADER = "# ncdm-sizes v2"
 # Seconds an external compressor may take on one request before it is killed
 # and reported unavailable, so a hung ``cmd:`` command cannot hang a run.
 EXTERNAL_TIMEOUT_S = 600.0
-# Most singletons and triples ``normality_report`` samples from a corpus.
+# Most singletons and triples ``normality_report`` samples, and its defaults.
 SAMPLED_SINGLETONS = 50
 SAMPLED_TRIPLES = 50
-_SNAPSHOT_RECORD = re.compile(r"[0-9a-f]{64}\t[1-9][0-9]*")
+DEFAULT_MAX_PAIRS = 100
+DEFAULT_SAMPLE_SEED = 0
+# A size has at most 15 digits, so it is below 2**53 and exact as a float.
+_SNAPSHOT_RECORD = re.compile(r"[0-9a-f]{64}\t[1-9][0-9]{0,14}")
 
 
 class CompressorBackend:
@@ -387,7 +390,6 @@ class NormalityViolation:
 class NormalityReport:
     """Measured deviations of a backend from the normal-compressor properties."""
 
-    backend: str
     checks: dict[str, int] = field(
         default_factory=lambda: {p: 0 for p in NormalityReport.PROPERTIES}
     )
@@ -403,7 +405,6 @@ class NormalityReport:
 
     def to_dict(self) -> dict:
         return {
-            "backend": self.backend,
             "ok": self.ok,
             "checks": dict(self.checks),
             "violations": {
@@ -430,8 +431,8 @@ def normality_report(
     backend: CompressorBackend,
     corpus: Sequence[Element],
     tolerance: int | None = None,
-    max_pairs: int = 100,
-    seed: int = 0,
+    max_pairs: int = DEFAULT_MAX_PAIRS,
+    seed: int = DEFAULT_SAMPLE_SEED,
     mode: str = "text",
 ) -> NormalityReport:
     """Diagnose how closely a backend honors the normal-compressor properties.
@@ -452,7 +453,7 @@ def normality_report(
         raise ValueError(f"max_pairs must be >= 0, got {max_pairs}")
 
     rng = random.Random(seed)
-    report = NormalityReport(backend=backend.name)
+    report = NormalityReport()
     sizes: dict[bytes, int] = {}  # singleton sizes by content digest
 
     def tol_for(n_bytes: int) -> int:

@@ -31,6 +31,7 @@ QUANT_ALPHABET = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz012345678
 MAX_SYMBOLS = len(QUANT_ALPHABET)
 _ALPHABET_BYTES = np.frombuffer(QUANT_ALPHABET, dtype=np.uint8)
 
+DEFAULT_SCALE = 4  # pixels per side of each image pixel in a bitstream
 MAX_BITSTREAM_BYTES = 2**28  # about 20,000 times a 28x28 digit at scale 4
 
 
@@ -216,7 +217,7 @@ def otsu_threshold(pixels: np.ndarray) -> int:
     return (first + last) // 2
 
 
-def image_to_bitstream(img: GrayImage, scale: int = 4) -> Element:
+def image_to_bitstream(img: GrayImage, scale: int = DEFAULT_SCALE) -> Element:
     """Upscale, Otsu-binarize, and serialize row-major as ASCII '0'/'1'.
 
     Binarizing first and upscaling the bits gives the same bytes: upscaling

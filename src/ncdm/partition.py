@@ -28,6 +28,7 @@ from .multiset import Element, Multiset
 from .ncd import NcdCalculator
 
 RNG_NAME = "numpy-pcg64"
+DEFAULT_K = 2  # distances ``min_class_distances`` keeps per class
 
 
 @dataclass(frozen=True)
@@ -245,7 +246,6 @@ class PartitionTree:
         return {
             "stop_margin": self.stop_margin,
             "rng": RNG_NAME,
-            "config": dataclasses.asdict(self.config),
             "classes": {label: node.to_dict() for label, node in self.roots.items()},
         }
 
@@ -317,7 +317,7 @@ def min_class_distances(
     calc: NcdCalculator,
     x: Element,
     tree: PartitionTree,
-    k: int = 2,
+    k: int = DEFAULT_K,
 ) -> dict[str, list[float]]:
     """The k smallest per-leaf delta scores of x against each original class.
 
@@ -329,12 +329,12 @@ def min_class_distances(
     if not tree.roots:
         return {}
     leaves = {
-        (label, i): leaf.members
+        f"{label} leaf {i}": leaf.members  # how a refusal names it: class 'a leaf 0'
         for label in tree.roots
         for i, leaf in enumerate(tree.leaves(label))
     }
     deltas = classify_items(calc, [(TestItem(x), leaves)], "delta-ncd1")[0].scores
     return {
-        label: sorted(d for (owner, _), d in deltas.items() if owner == label)[:k]
+        label: sorted(deltas[f"{label} leaf {i}"] for i in range(len(tree.leaves(label))))[:k]
         for label in sorted(tree.roots)
     }

@@ -260,8 +260,8 @@ def test_loocv_requires_two_classes(calc):
 def test_loocv_report_reproducible(two_generator_corpus):
     import json
 
-    first = loocv(NcdCalculator(Bz2Backend(), jobs=1), two_generator_corpus, seed=7)
-    second = loocv(NcdCalculator(Bz2Backend(), jobs=4), two_generator_corpus, seed=7)
+    first = loocv(NcdCalculator(Bz2Backend(), jobs=1), two_generator_corpus)
+    second = loocv(NcdCalculator(Bz2Backend(), jobs=4), two_generator_corpus)
     assert json.dumps(first.to_dict(), sort_keys=True) == json.dumps(
         second.to_dict(), sort_keys=True
     )

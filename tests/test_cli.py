@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import sys
 import tempfile
@@ -196,7 +197,7 @@ def test_loocv_min_distance_method(tmp_path, capsys):
     root = write_class_dirs(tmp_path)
     code, report, err = run(capsys, "loocv", "--classes", str(root), "--method", "min-distance")
     assert code == 0
-    assert report["method"] == "min-distance"
+    assert report["config"]["method"] == "min-distance"
     assert report["n"] == 8
     assert 0.0 <= report["accuracy"] <= 1.0
     assert "correct" in err
@@ -264,6 +265,32 @@ def test_every_compressing_report_has_one_frame(tmp_path, capsys, command):
         assert "compression_jobs" not in report
     else:
         assert keys[-1] == "compression_jobs" and report["compression_jobs"] > 0
+
+
+@pytest.mark.parametrize(
+    "command", ["pair", "multiset", "matrix", "classify", "loocv", "partition", "compressor-check"]
+)
+def test_each_setting_is_stated_once_in_config(tmp_path, capsys, command):
+    root = write_class_dirs(tmp_path, per_class=4, n_words=40)
+    item = tmp_path / "item.txt"
+    item.write_bytes(b"an item to score " * 10)
+    if command == "compressor-check":
+        argv = ["compressor-check", str(root / "alpha")]
+    else:
+        argv = _frame_argv(command, root, item)
+    code, report, _ = run(capsys, *argv, "--backend", "zlib")
+    assert code == 0
+    assert set(report) & set(report["config"]) == set()
+    if command == "partition":
+        assert report["config"] == {
+            "backend": "zlib-6",
+            "framing": "text",
+            "restarts": 5,
+            "max_iters": 100,
+            "min_size": 2,
+            "seed": 0,
+        }
+        assert "partition_config" not in json.dumps(report)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -579,8 +606,19 @@ def test_partition_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, m
         ["--upsilon", "inf"],
         ["--population-limit", "0"],
         ["--seed", "-1"],
+        ["--track-len", "9", "5"],
+        ["--track-len", "2", "2000000"],
     ],
-    ids=["upsilon", "cells", "upsilon-nan", "upsilon-inf", "population-limit-0", "seed-negative"],
+    ids=[
+        "upsilon",
+        "cells",
+        "upsilon-nan",
+        "upsilon-inf",
+        "population-limit-0",
+        "seed-negative",
+        "track-len-descending",
+        "track-len-above-max",
+    ],
 )
 def test_gen_synthetic_bad_flag_is_a_usage_error(tmp_path, capsys, flags):
     out = tmp_path / "cells"
@@ -597,9 +635,13 @@ def test_gen_synthetic_bad_flag_is_a_usage_error(tmp_path, capsys, flags):
     [
         (["classify", "ITEM"], "delta-ncd1 needs >= 2 members per class; class 'a' has 1"),
         (["partition"], "a margin needs >= 2 members per class; class 'a' has 1"),
+        (
+            ["partition", "--stop-margin", "0", "--item", "ITEM"],
+            "delta-ncd1 needs >= 2 members per class; class 'a leaf 0' has 1",
+        ),
         (["classify", "ITEM", "--method", "min"], None),
     ],
-    ids=["classify-delta", "partition", "classify-min"],
+    ids=["classify-delta", "partition", "partition-item", "classify-min"],
 )
 def test_a_class_too_small_for_the_rule_is_named(tmp_path, capsys, argv, refusal):
     root = tmp_path / "classes"
@@ -640,7 +682,7 @@ def test_gen_synthetic_refuses_a_track_too_long_to_allocate(tmp_path, capsys):
     with _affordable_simulation(max_tracks=0):  # refused before any track is made
         code, report, err = run(capsys, *argv, "--out", str(out))
     assert code == 2 and report is None
-    assert err.startswith("usage error: track_len_range") and str(MAX_TRACK_LEN) in err
+    assert err.startswith("usage error: --track-len") and str(MAX_TRACK_LEN) in err
     assert "Traceback" not in err and not out.exists()
 
 
@@ -688,6 +730,71 @@ def test_gen_synthetic_exits_0_or_2_for_any_flag_values(values, bad):
         else:
             assert err.startswith("usage error:") and err.count("\n") == 1
             assert stdout.getvalue() == "" and not out.exists()
+
+
+# -- mutated input files --------------------------------------------------------
+
+
+def _valid_input(kind: str, tmp: Path) -> tuple[bytes, list, list[bytes], list[str]]:
+    """A valid input of ``kind``, the spans of its header fields, values to set them
+    to (0, huge, negative, not a number), and the command that reads it from ``tmp/IN``."""
+    src, out = str(tmp / "IN"), str(tmp / "out")
+    if kind == "pgm":
+        data = b"P5\n4 3\n255\n" + bytes(range(0, 240, 20))
+        spans = [m.span() for m in re.finditer(rb"\d+", data[:11])]
+        return data, spans, [b"0", b"9" * 30, b"-1", b"x"], ["image2bits", src, "--out", out]
+    if kind == "idx":
+        data = b"".join(n.to_bytes(4, "big") for n in (0x0803, 2, 2, 3)) + bytes(range(12))
+        spans = [(i, i + 4) for i in range(0, 16, 4)]
+        values = [bytes(4), b"\xff" * 4, b"\x80\x00\x00\x00", b"x!z?"]
+        return data, spans, values, ["image2bits", "--idx", src, "--out", out]
+    argv = ["matrix", "--backend", "zlib", "--jobs", "1", "--cache", src]
+    for name in ("a", "b", "c"):
+        (tmp / f"{name}.txt").write_bytes(f"{name} alpha beta {name} gamma {name}".encode() * 4)
+        argv.append(str(tmp / f"{name}.txt"))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(argv) == 0
+    data = (tmp / "IN").read_bytes()
+    spans = [m.span() for m in re.finditer(rb"v2|(?<=\t)\d+", data)]
+    return data, spans, [b"0", b"9" * 400, b"-1", b"x"], argv
+
+
+# (how, where, what): a byte flip (xor), a truncation, or a header field set to a value.
+_MUTATION = st.tuples(
+    st.sampled_from(["flip", "truncate", "field"]), st.integers(0, 2**16), st.integers(1, 255)
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    kind=st.sampled_from(["pgm", "idx", "cache"]),
+    mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+)
+def test_a_mutated_input_file_exits_0_1_or_2_with_one_line(kind, mutations):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        data, spans, values, argv = _valid_input(kind, tmp)
+        for how, at, byte in mutations:
+            if how == "flip" and data:
+                i = at % len(data)
+                data = data[:i] + bytes([data[i] ^ byte]) + data[i + 1 :]
+            elif how == "truncate":
+                data = data[: at % (len(data) + 1)]
+            elif how == "field" and (fields := [s for s in spans if s[1] <= len(data)]):
+                start, end = fields[at % len(fields)]
+                data = data[:start] + values[byte % len(values)] + data[end:]
+                spans = []  # the other spans moved
+        (tmp / "IN").write_bytes(data)
+        before = _tree(tmp)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        err = stderr.getvalue()
+        assert code in (0, 1, 2), err
+        if code != 0:
+            assert err.count("\n") == 1 and err.startswith(("error:", "usage error:")), err
+            assert stdout.getvalue() == ""
+            assert _tree(tmp) == before  # no output file, and the snapshot is untouched
 
 
 @pytest.mark.parametrize(
@@ -913,6 +1020,7 @@ def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monke
         (["pair", "ITEM", "ITEM", "--framing", "bits"], "--framing"),
         (["multiset", "ITEM", "ITEM", "--exact", "--ncd1"], "--ncd1"),
         (["multiset", "ITEM", "ITEM", "--exact", "--max-card", "1"], "--max-card"),
+        (["multiset", "ITEM", "ITEM", "--exact", "--max-card", "17"], "--max-card"),
         (["classify", "ITEM", "--classes", "ROOT", "--test", "MISSING"], "--test"),
         (["classify", "ITEM", "--classes", "ROOT", "--method", "nearest"], "--method"),
         (["pair", "ITEM", "ITEM", "--backend", "zlib:12"], "--backend"),
@@ -925,6 +1033,7 @@ def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monke
         "framing-choice",
         "exclusive-styles",
         "max-card-1",
+        "max-card-17",
         "test-missing",
         "method-unknown",
         "backend-level",

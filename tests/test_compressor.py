@@ -335,6 +335,13 @@ def test_cache_snapshot_round_trip(tmp_path):
     assert fresh.job_count == 0  # preloads are not compression jobs
 
 
+def test_cache_snapshot_refuses_a_size_too_large_to_be_exact_as_a_float(tmp_path):
+    path = tmp_path / "sizes.tsv"
+    path.write_text(f"# ncdm-sizes v2 bz2-9\n{'0' * 64}\t{'9' * 15}\n{'1' * 64}\t{'9' * 16}\n")
+    with pytest.raises(ValueError, match=":3: not a digest<TAB>size record"):
+        SizeCache().load(path, "bz2-9")
+
+
 def test_cache_concurrent_inserts_are_safe():
     from concurrent.futures import ThreadPoolExecutor
 

@@ -278,6 +278,15 @@ def test_exact_cap_enforced(bz2_calc):
         bz2_calc.ncd_exact(ms, max_card=4)
 
 
+def test_exact_cap_above_the_ceiling_is_refused_before_any_compression(bz2_calc, monkeypatch):
+    calls = []
+    monkeypatch.setattr(compressor, "compress_len", lambda *args: calls.append(args))
+    for n in (3, ncdm.ncd.MAX_EXACT_CARD + 1):
+        with pytest.raises(ValueError, match=f"max_card must be <= {ncdm.ncd.MAX_EXACT_CARD}"):
+            bz2_calc.ncd_exact(mixed_multiset(6, n), max_card=ncdm.ncd.MAX_EXACT_CARD + 1)
+    assert calls == []
+
+
 # -- heuristic ----------------------------------------------------------
 
 

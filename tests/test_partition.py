@@ -231,7 +231,7 @@ def test_partition_tree_json_shape(calc):
     }
     tree = recursive_partition(calc, classes, PartitionConfig(min_size=3, seed=0))
     d = tree.to_dict()
-    assert set(d) == {"stop_margin", "rng", "config", "classes"}
+    assert set(d) == {"stop_margin", "rng", "classes"}
     node = d["classes"]["p"]
     assert set(node) == {"members", "margin", "accepted", "children"}
     assert node["accepted"] is True and node["children"] == []
