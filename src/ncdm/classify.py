@@ -29,6 +29,9 @@ from .errors import CorpusError, DegenerateInputError
 from .multiset import Element, Multiset
 from .ncd import NcdCalculator
 
+CI_LEVEL = 0.95  # the confidence level of every reported accuracy interval
+
+
 @dataclass(frozen=True)
 class TestItem:
     element: Element
@@ -88,19 +91,17 @@ class ClassificationReport:
         )
 
 
-def wilson_ci(p_hat: float, n: int, level: float = 0.95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion, clamped to [0, 1].
+def wilson_ci(p_hat: float, n: int) -> tuple[float, float]:
+    """``CI_LEVEL`` Wilson score interval for a binomial proportion, clamped to [0, 1].
 
     Unlike the plain normal-approximation interval it stays informative at
     p_hat = 0 or 1, which is where classifier accuracies tend to live.
     """
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
     if not 0.0 <= p_hat <= 1.0:
         raise ValueError(f"proportion must be in [0, 1], got {p_hat}")
-    z = NormalDist().inv_cdf((1.0 + level) / 2.0)
+    z = NormalDist().inv_cdf((1.0 + CI_LEVEL) / 2.0)
     denom = 1.0 + z * z / n
     center = (p_hat + z * z / (2.0 * n)) / denom
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / n + z * z / (4.0 * n * n)) / denom
@@ -195,7 +196,7 @@ def loocv(
     its class before any scoring, so no method ever sees the held-out element
     on the training side. Every fold is one case of a single
     ``classify_items`` batch, so the whole LOOCV compresses in one map;
-    results assemble in corpus order, and ``ci`` is the 95% ``wilson_ci``.
+    results assemble in corpus order, and ``ci`` is ``wilson_ci(accuracy, n)``.
     """
     classes = corpus.classes
     if len(classes) < 2:

@@ -10,15 +10,16 @@ scale**2 bytes, is above ``ingest.MAX_BITSTREAM_BYTES`` (2**28). ``--jobs``
 bounds the worker pool and can only change wall time, so it is not echoed
 into reports.
 
-Every report starts with ``"command"``. The subcommands that compress
-(``pair``, ``multiset``, ``matrix``, ``classify``, ``loocv``, ``partition``)
-and ``compressor-check`` then give ``"config"``, the one place each setting
-is echoed: the backend name, the framing and the subcommand's own settings
-(``partition``: ``restarts``, ``max_iters``, ``min_size``, ``seed``). Those that
-compress, but ``loocv``, end with ``"compression_jobs"``, the number of sizes
-compressed rather than answered by the cache, counted after all work. A
-``loocv`` report reads the same byte for byte whatever the cache holds, so a
-warm replay can be checked against a cold run.
+Every report is ``"command"``, then ``"config"``, then the payload, and
+``main`` alone frames it. ``config`` is the one place each setting is echoed:
+the backend name and the framing for the subcommands with ``--backend``, then
+the subcommand's own settings and paths (``partition``: ``restarts``,
+``max_iters``, ``min_size``, ``seed``; ``gen-synthetic``: ``out`` and the
+manifest's ``params``). Every subcommand with ``--cache`` but ``loocv`` ends
+its payload with ``"compression_jobs"``, the number of sizes compressed rather
+than answered by the cache, counted after all work. A ``loocv`` report reads
+the same byte for byte whatever the cache holds, so a warm replay can be
+checked against a cold run.
 
 Every flag value and every input or output path is checked at parse time,
 by its argparse ``type``, so a bad one is refused, naming the flag, before
@@ -225,19 +226,13 @@ def _env_backend():
         raise UsageError(f"${BACKEND_ENV} {exc}") from None
 
 
-def _framed(args: argparse.Namespace, echo: dict, payload: dict) -> dict:
-    """A report's ``config`` (backend name, framing, then ``echo``), then ``payload``."""
-    return {"config": {"backend": args.backend.name, "framing": args.framing, **echo}, **payload}
-
-
 def _with_calc(handler, count_jobs: bool = True):
     """Run ``handler(args, calc)`` between loading and saving the ``--cache``
-    snapshot. Its ``(echo, payload, summary)`` becomes ``_framed(args, echo,
-    payload)`` and, if ``count_jobs``, the compression job count, read after
-    all of the handler's work.
+    snapshot. If ``count_jobs``, its payload ends with the compression job
+    count, read after all of the handler's work.
     """
 
-    def run(args: argparse.Namespace) -> tuple[dict, str]:
+    def run(args: argparse.Namespace) -> tuple[dict, dict, str]:
         backend = args.backend
         cache = SizeCache()
         snapshot = Path(args.cache) if args.cache else None
@@ -251,10 +246,9 @@ def _with_calc(handler, count_jobs: bool = True):
         if snapshot is not None:
             with _writing("--cache", snapshot):
                 cache.save(snapshot, backend.name)
-        report = _framed(args, echo, payload)
         if count_jobs:
-            report["compression_jobs"] = cache.job_count
-        return report, summary
+            payload["compression_jobs"] = cache.job_count
+        return echo, payload, summary
 
     return run
 
@@ -297,8 +291,8 @@ def _cmd_matrix(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     if args.csv:
         with _writing("--csv", args.csv):
             Path(args.csv).write_text(dm.to_csv())
-    payload = {"labels": list(dm.labels), "values": dm.values.tolist(), "csv": args.csv}
-    return {}, payload, f"{len(dm.labels)}x{len(dm.labels)} distance matrix"
+    payload = {"labels": list(dm.labels), "values": dm.values.tolist()}
+    return {"csv": args.csv}, payload, f"{len(dm.labels)}x{len(dm.labels)} distance matrix"
 
 
 def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
@@ -340,7 +334,7 @@ def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     return dataclasses.asdict(tree.config), payload, summary
 
 
-def _cmd_gen_synthetic(args) -> tuple[dict, str]:
+def _cmd_gen_synthetic(args) -> tuple[dict, dict, str]:
     try:
         params = CellModelParams(
             upsilon=args.upsilon,
@@ -353,11 +347,11 @@ def _cmd_gen_synthetic(args) -> tuple[dict, str]:
     tracks = simulate_population(params, args.cells)
     with _writing("--out", args.out):
         manifest = write_population(tracks, args.out, params)
-    report = {"out": str(args.out), **manifest}
-    return report, f"wrote {len(tracks)} cell tracks to {args.out}"
+    echo = {"out": args.out, **manifest.pop("params")}
+    return echo, manifest, f"wrote {len(tracks)} cell tracks to {args.out}"
 
 
-def _cmd_compressor_check(args) -> tuple[dict, str]:
+def _cmd_compressor_check(args) -> tuple[dict, dict, str]:
     corpus = _gather_elements([args.corpus])
     result = normality_report(
         args.backend,
@@ -367,12 +361,11 @@ def _cmd_compressor_check(args) -> tuple[dict, str]:
         seed=args.seed,
         mode=args.framing,
     )
-    report = _framed(args, {"seed": args.seed}, result.to_dict())
     verdict = "normal within tolerance" if result.ok else "violations recorded"
-    return report, f"{args.backend.name}: {verdict}"
+    return {"seed": args.seed}, result.to_dict(), f"{args.backend.name}: {verdict}"
 
 
-def _cmd_quantize(args) -> tuple[dict, str]:
+def _cmd_quantize(args) -> tuple[dict, dict, str]:
     paths: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
@@ -399,11 +392,12 @@ def _cmd_quantize(args) -> tuple[dict, str]:
         with _writing("--save-config", args.save_config):
             Path(args.save_config).write_text(quantizer.to_json() + "\n")
     written = [str(target) for target in targets]
-    report = {"n_symbols": quantizer.n_symbols, "config": args.save_config, "files": written}
-    return report, f"quantized {len(written)} series with {quantizer.n_symbols} symbols"
+    echo = {"n_symbols": quantizer.n_symbols, "out": args.out, "save_config": args.save_config}
+    summary = f"quantized {len(written)} series with {quantizer.n_symbols} symbols"
+    return echo, {"files": written}, summary
 
 
-def _cmd_image2bits(args) -> tuple[dict, str]:
+def _cmd_image2bits(args) -> tuple[dict, dict, str]:
     named = []  # (input file, image)
     if args.idx:
         named += [(args.idx, img) for img in read_idx_images(args.idx, limit=args.limit)]
@@ -421,8 +415,8 @@ def _cmd_image2bits(args) -> tuple[dict, str]:
         for target, element in zip(targets, elements):
             target.write_bytes(element.data)
             written.append({"file": str(target), "length": len(element.data)})
-    report = {"scale": args.scale, "files": written}
-    return report, f"binarized {len(written)} images at scale {args.scale}"
+    echo = {"scale": args.scale, "out": args.out}
+    return echo, {"files": written}, f"binarized {len(written)} images at scale {args.scale}"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -532,15 +526,17 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if "backend" in args and args.backend is None:  # no --backend given
             args.backend = _env_backend()
-        report, summary = args.handler(args)
+        echo, payload, summary = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except NcdmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if "backend" in args:
+        echo = {"backend": args.backend.name, "framing": args.framing, **echo}
     try:
-        print(json.dumps({"command": args.command, **report}, indent=2))
+        print(json.dumps({"command": args.command, "config": echo, **payload}, indent=2))
         sys.stdout.flush()  # a closed stdout fails here, not at exit
     except BrokenPipeError:  # the recipe of the Python signal docs
         devnull = os.open(os.devnull, os.O_WRONLY)

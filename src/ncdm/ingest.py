@@ -55,6 +55,7 @@ class TimeSeries:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", _as_matrix(self.values))
+        _check_names(self.feature_names, self.values.shape[1], "time series")
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,6 +90,7 @@ class QuantizerConfig:
             # equal edges are fine: a constant column fits to them
             if any(a > b for a, b in zip(edges, edges[1:])):
                 raise ValueError(f"feature {d} has descending edges")
+        _check_names(self.feature_names, len(self.edges), "quantizer")
 
     def to_json(self) -> str:
         return json.dumps(
@@ -103,16 +105,29 @@ class QuantizerConfig:
     @classmethod
     def from_json(cls, text: str) -> "QuantizerConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ValueError("quantizer config is malformed: not a JSON object")
+        names = raw.get("feature_names", [])
+        if not isinstance(names, list):
+            raise ValueError(f"feature_names must be a list, got a {type(names).__name__}")
         try:
             return cls(
                 n_symbols=int(raw["n_symbols"]),
                 edges=tuple(tuple(float(v) for v in e) for e in raw["edges"]),
-                feature_names=tuple(raw.get("feature_names", ())),
+                feature_names=tuple(names),
             )
         except KeyError as exc:
             raise ValueError(f"quantizer config has no {exc} field") from None
         except TypeError as exc:
             raise ValueError(f"quantizer config is malformed: {exc}") from None
+
+
+def _check_names(names: Sequence[str], width: int, what: str) -> None:
+    """Feature names are none, or one string per feature."""
+    if len(names) not in (0, width):
+        raise ValueError(f"{what} has {len(names)} feature names for {width} features")
+    if not all(isinstance(name, str) for name in names):
+        raise ValueError(f"{what} has a feature name that is not a string")
 
 
 def _as_matrix(values: np.ndarray) -> np.ndarray:
@@ -344,7 +359,8 @@ def load_corpus(classes_dir: str | Path, test_path: str | Path | None = None) ->
 
     ``test_path`` may be a directory of loose files (labels unknown) or a
     JSON manifest: a list of {"path": ..., "label": optional} entries with
-    paths relative to the manifest's directory.
+    paths relative to the manifest's directory; a label is a string, or null
+    for none.
     """
     root = Path(classes_dir)
     if not root.is_dir():
@@ -371,6 +387,8 @@ def load_corpus(classes_dir: str | Path, test_path: str | Path | None = None) ->
                 for entry in entries:
                     if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
                         raise ValueError(f"test manifest entry {entry!r} has no path")
+                    if not isinstance(entry.get("label"), (str, type(None))):
+                        raise ValueError(f"test manifest entry {entry!r} has a non-string label")
             test_items = [
                 TestItem(read_element(test_path.parent / e["path"], e["path"]), e.get("label"))
                 for e in entries

@@ -61,7 +61,7 @@ def test_criterion_1_wilson_intervals():
         (0.57, 656, (0.53, 0.61)),
     ]
     for p_hat, n, expected in cases:
-        lo, hi = wilson_ci(p_hat, n, 0.95)
+        lo, hi = wilson_ci(p_hat, n)
         assert (round(lo, 2), round(hi, 2)) == expected, (p_hat, n)
     record(1, f"all {len(cases)} published confidence intervals reproduced at 2 decimals")
 

@@ -268,28 +268,59 @@ def test_every_compressing_report_has_one_frame(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "command", ["pair", "multiset", "matrix", "classify", "loocv", "partition", "compressor-check"]
+    "command",
+    [
+        "pair",
+        "multiset",
+        "matrix",
+        "classify",
+        "loocv",
+        "partition",
+        "compressor-check",
+        "gen-synthetic",
+        "quantize",
+        "image2bits",
+    ],
 )
 def test_each_setting_is_stated_once_in_config(tmp_path, capsys, command):
     root = write_class_dirs(tmp_path, per_class=4, n_words=40)
     item = tmp_path / "item.txt"
     item.write_bytes(b"an item to score " * 10)
-    if command == "compressor-check":
-        argv = ["compressor-check", str(root / "alpha")]
-    else:
-        argv = _frame_argv(command, root, item)
-    code, report, _ = run(capsys, *argv, "--backend", "zlib")
+    (tmp_path / "s.csv").write_text("f0,f1\n0.5,1.5\n2.5,3.5\n")
+    (tmp_path / "img.pgm").write_bytes(b"P5\n2 2\n255\n\x01\x80\x03\xa8")
+    out, saved = str(tmp_path / "out"), str(tmp_path / "q.json")
+    argv = {
+        "compressor-check": ["compressor-check", str(root / "alpha"), "--backend", "zlib"],
+        "gen-synthetic": ["gen-synthetic", "--upsilon", "1", "--cells", "1", "--track-len", "3", "4"],
+        "quantize": ["quantize", str(tmp_path / "s.csv"), "--save-config", saved],
+        "image2bits": ["image2bits", str(tmp_path / "img.pgm")],
+    }.get(command) or [*_frame_argv(command, root, item), "--backend", "zlib"]
+    if command in ("gen-synthetic", "quantize", "image2bits"):
+        argv += ["--out", out]
+    code, report, _ = run(capsys, *argv)
     assert code == 0
+    assert list(report)[:2] == ["command", "config"]
     assert set(report) & set(report["config"]) == set()
-    if command == "partition":
-        assert report["config"] == {
+    if command == "gen-synthetic":
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert report["config"] == {"out": out, **manifest.pop("params")}
+        assert {key: report[key] for key in manifest} == manifest
+    expected = {
+        "partition": {
             "backend": "zlib-6",
             "framing": "text",
             "restarts": 5,
             "max_iters": 100,
             "min_size": 2,
             "seed": 0,
-        }
+        },
+        "matrix": {"backend": "zlib-6", "framing": "text", "csv": None},
+        "quantize": {"n_symbols": 4, "out": out, "save_config": saved},
+        "image2bits": {"scale": 4, "out": out},
+    }
+    if command in expected:
+        assert report["config"] == expected[command]
+    if command == "partition":
         assert "partition_config" not in json.dumps(report)
 
 
@@ -736,8 +767,9 @@ def test_gen_synthetic_exits_0_or_2_for_any_flag_values(values, bad):
 
 
 def _valid_input(kind: str, tmp: Path) -> tuple[bytes, list, list[bytes], list[str]]:
-    """A valid input of ``kind``, the spans of its header fields, values to set them
-    to (0, huge, negative, not a number), and the command that reads it from ``tmp/IN``."""
+    """A valid input of ``kind``, the spans of its fields (headers, numbers, lists,
+    strings), values to set them to (0, huge, negative, not a number), and the
+    command that reads it from ``tmp/IN``."""
     src, out = str(tmp / "IN"), str(tmp / "out")
     if kind == "pgm":
         data = b"P5\n4 3\n255\n" + bytes(range(0, 240, 20))
@@ -748,6 +780,27 @@ def _valid_input(kind: str, tmp: Path) -> tuple[bytes, list, list[bytes], list[s
         spans = [(i, i + 4) for i in range(0, 16, 4)]
         values = [bytes(4), b"\xff" * 4, b"\x80\x00\x00\x00", b"x!z?"]
         return data, spans, values, ["image2bits", "--idx", src, "--out", out]
+    numbers = [b"0", b"9" * 400, b"-1", b"x"]
+    if kind == "csv":
+        data = b"f0,f1\n0.5,1.5\n2.5,-3.5\n4,5e2\n"
+        spans = [m.span() for m in re.finditer(rb"[^,\n]+", data)]
+        return data, spans, numbers, ["quantize", src, "--symbols", "3", "--out", out]
+    if kind == "quantizer":
+        (tmp / "s.csv").write_bytes(b"f0,f1\n0.5,1.5\n2.5,-3.5\n")
+        data = json.dumps({"n_symbols": 2, "feature_names": ["f0", "f1"], "edges": [[1.0], [-2.0]]})
+        data = data.encode()
+        spans = [m.span() for m in re.finditer(rb"-?[\d.]+|\[[^][]*\]", data)]
+        return data, spans, numbers, ["quantize", str(tmp / "s.csv"), "--config", src, "--out", out]
+    if kind == "manifest":
+        for label, words in (("alpha", "aa ab"), ("beta", "zz zy")):
+            (tmp / label).mkdir()
+            for i in range(2):
+                (tmp / label / f"{i}.txt").write_text(f"{words} {i} {words}")
+        (tmp / "q.txt").write_text("aa ab aa")
+        data = json.dumps([{"path": "q.txt", "label": "alpha"}, {"path": "alpha/0.txt"}]).encode()
+        spans = [m.span(1) for m in re.finditer(rb': ("[^"]*")', data)]
+        argv = ["classify", "--classes", str(tmp), "--test", src, "--backend", "zlib"]
+        return data, spans, numbers, [*argv, "--jobs", "1"]
     argv = ["matrix", "--backend", "zlib", "--jobs", "1", "--cache", src]
     for name in ("a", "b", "c"):
         (tmp / f"{name}.txt").write_bytes(f"{name} alpha beta {name} gamma {name}".encode() * 4)
@@ -756,10 +809,10 @@ def _valid_input(kind: str, tmp: Path) -> tuple[bytes, list, list[bytes], list[s
         assert main(argv) == 0
     data = (tmp / "IN").read_bytes()
     spans = [m.span() for m in re.finditer(rb"v2|(?<=\t)\d+", data)]
-    return data, spans, [b"0", b"9" * 400, b"-1", b"x"], argv
+    return data, spans, numbers, argv
 
 
-# (how, where, what): a byte flip (xor), a truncation, or a header field set to a value.
+# (how, where, what): a byte flip (xor), a truncation, or a field set to a value.
 _MUTATION = st.tuples(
     st.sampled_from(["flip", "truncate", "field"]), st.integers(0, 2**16), st.integers(1, 255)
 )
@@ -767,7 +820,7 @@ _MUTATION = st.tuples(
 
 @settings(max_examples=150, deadline=None)
 @given(
-    kind=st.sampled_from(["pgm", "idx", "cache"]),
+    kind=st.sampled_from(["pgm", "idx", "cache", "csv", "quantizer", "manifest"]),
     mutations=st.lists(_MUTATION, min_size=1, max_size=3),
 )
 def test_a_mutated_input_file_exits_0_1_or_2_with_one_line(kind, mutations):
@@ -834,6 +887,9 @@ def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
         ("config-wrong-edge-count", 1),
         ("config-no-features", 1),
         ("csv-overflowing-column", 1),
+        ("csv-3-names-for-2-columns", 1),
+        ("config-1-name-for-2-features", 1),
+        ("config-names-a-string", 1),
     ],
 )
 def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
@@ -846,6 +902,8 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         csv.write_text("f0,f1\n")
     if case == "csv-overflowing-column":  # its quantile edges overflow to [inf, -inf, -inf]
         csv.write_text("f0,f1\n-1e308,1.5\n1e308,3.5\n")
+    if case == "csv-3-names-for-2-columns":
+        csv.write_text("a,b,c\n0.5,1.5\n2.5,3.5\n")
     config = tmp_path / "quant.json"
     if case == "config-without-n_symbols":
         config.write_text(json.dumps({"edges": [[1.0], [2.0]]}))
@@ -861,6 +919,8 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         "config-descending-edges": '{"n_symbols": 3, "edges": [[3.0, 1.0], [1.0, 2.0]]}',
         "config-wrong-edge-count": '{"n_symbols": 4, "edges": [[1.0], [2.0]]}',
         "config-no-features": '{"n_symbols": 2, "edges": []}',
+        "config-1-name-for-2-features": '{"n_symbols": 2, "feature_names": ["only"], "edges": [[1], [2]]}',
+        "config-names-a-string": '{"n_symbols": 2, "feature_names": "xy", "edges": [[1.0], [2.0]]}',
     }
     if case in bad_quantizers:
         config.write_text(bad_quantizers[case])
@@ -877,6 +937,7 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         "csv-header-only": [],
         **{bad: ["--config", str(config)] for bad in bad_quantizers},
         "csv-overflowing-column": [],
+        "csv-3-names-for-2-columns": ["--save-config", str(config)],
     }[case]
     out = tmp_path / "symbols"
     code, report, err = run(capsys, "quantize", str(csv), "--out", str(out), *flags)
@@ -889,6 +950,9 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         assert "n_symbols" in err
     if case == "csv-with-a-word":
         assert err.startswith(f"error: {csv}: could not convert string 'abc'")
+    if case == "csv-3-names-for-2-columns":
+        assert err == f"error: {csv}: time series has 3 feature names for 2 features\n"
+        assert not config.exists()  # no --save-config written
     assert not out.exists()
     if case.startswith("csv-"):
         assert err.startswith(f"error: {csv}: ") and len(err.splitlines()) == 1  # no warning
@@ -1177,3 +1241,14 @@ def test_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, monkeypat
     assert err.startswith(f"error: {blamed.format(**places)}: ") and "Traceback" not in err
     assert calls == []  # every input is read before any work
     assert not (tmp_path / "out").exists()
+
+
+def test_a_test_manifest_label_that_is_not_a_string_is_refused(tmp_path, capsys):
+    root = write_class_dirs(tmp_path, per_class=3, n_words=30)
+    (tmp_path / "q.txt").write_bytes(b"an item to score " * 10)
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps([{"path": "q.txt", "label": 5}]))  # never equal to a class name
+    argv = ["classify", "--classes", str(root), "--test", str(manifest), "--backend", "zlib"]
+    code, report, err = run(capsys, *argv)
+    assert code == 1 and report is None
+    assert err.startswith(f"error: {manifest}: test manifest entry") and len(err.splitlines()) == 1

@@ -199,6 +199,10 @@ def test_a_fitted_quantizer_survives_its_own_json(n_symbols, width, data):
         (lambda: QuantizerConfig(2, ((float("nan"),),)), "feature 0 has a non-finite edge"),
         (lambda: QuantizerConfig(2, ((float("inf"),),)), "feature 0 has a non-finite edge"),
         (lambda: QuantizerConfig(3, ((0.0, 1.0), (3.0, 1.0))), "feature 1 has descending edges"),
+        (lambda: TimeSeries(np.zeros((2, 2)), ("a", "b", "c")), "3 feature names for 2 features"),
+        (lambda: TimeSeries(np.zeros((2, 2)), ("a", 2)), "a feature name that is not a string"),
+        (lambda: QuantizerConfig(2, ((1.0,), (2.0,)), ("only",)), "1 feature names for 2 features"),
+        (lambda: QuantizerConfig(2, ((1.0,),), (None,)), "a feature name that is not a string"),
     ],
     ids=[
         "series-nan",
@@ -213,6 +217,10 @@ def test_a_fitted_quantizer_survives_its_own_json(n_symbols, width, data):
         "quantizer-nan-edge",
         "quantizer-inf-edge",
         "quantizer-descending-edges",
+        "series-3-names-for-2-columns",
+        "series-name-not-a-string",
+        "quantizer-1-name-for-2-features",
+        "quantizer-name-not-a-string",
     ],
 )
 def test_each_value_type_checks_itself_when_built(build, message):
@@ -455,12 +463,19 @@ def test_load_corpus_test_dir_and_manifest(tmp_path):
     corpus2 = load_corpus(root, manifest)
     assert corpus2.test_items[0].label == "a"
     assert corpus2.test_items[0].element.data == b"labeled query"
+    manifest.write_text(json.dumps([{"path": "item.bin", "label": None}]))
+    assert load_corpus(root, manifest).test_items[0].label is None
 
 
 @pytest.mark.parametrize(
     "text",
-    ["not json {", json.dumps({"path": "item.bin"}), json.dumps([{"label": "a"}])],
-    ids=["not-json", "not-a-list", "entry-without-path"],
+    [
+        "not json {",
+        json.dumps({"path": "item.bin"}),
+        json.dumps([{"label": "a"}]),
+        json.dumps([{"path": "item.bin", "label": 5}]),
+    ],
+    ids=["not-json", "not-a-list", "entry-without-path", "label-not-a-string"],
 )
 def test_load_corpus_malformed_manifest(tmp_path, text):
     root = make_corpus_dir(tmp_path, {"a": {"1": b"x"}, "b": {"2": b"y"}})
