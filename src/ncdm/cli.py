@@ -29,12 +29,11 @@ Inputs must exist. ``--cache``, ``--csv`` and
 ``--out`` must not name a file or lie under one. argparse's own errors (an
 unknown flag, a missing ``--classes``) read ``usage error: ...`` too, and
 ``main`` returns 2 rather than raising ``SystemExit``. Without ``--backend``
-the backend is ``$NCDM_BACKEND``, or bz2 if it is unset or empty; a bad value
-is a usage error naming ``$NCDM_BACKEND``. The subcommand checks, naming the flag,
-rules that join values, still before any work: ``--track-len LO HI`` needs
-LO <= HI <= ``datagen.MAX_TRACK_LEN`` (2**20 samples, so one track stays under
-ingest's 2**28 bytes), and no two inputs of ``quantize`` or ``image2bits`` may
-write one output file. An ``OSError`` while writing an output is a usage error too.
+the backend is bz2. The subcommand checks, naming the flag, rules that join
+values, still before any work: ``--track-len LO HI`` needs LO <= HI <=
+``datagen.MAX_TRACK_LEN`` (2**20 samples, so one track stays under ingest's
+2**28 bytes), and no two inputs of ``quantize`` or ``image2bits`` may write
+one output file. An ``OSError`` while writing an output is a usage error too.
 
 A ``--cache`` snapshot starts with the line ``# ncdm-sizes v2 BACKEND``
 followed by one ``sha256-hex<TAB>size`` record per line. A record's digest is
@@ -61,7 +60,7 @@ from pathlib import Path
 from . import __version__
 from .classify import METHODS, TestItem, classify_items, loocv
 from .compressor import (
-    DEFAULT_MAX_PAIRS, DEFAULT_SAMPLE_SEED, FRAMING_MODES, SizeCache, get_backend, normality_report
+    DEFAULT_MAX_PAIRS, DEFAULT_SAMPLE_SEED, FRAMING_MODES, get_backend, normality_report
 )
 from .datagen import MAX_TRACK_LEN, CellModelParams, simulate_population, write_population
 from .errors import NcdmError
@@ -83,9 +82,6 @@ from .multiset import Element, Multiset
 from .ncd import DEFAULT_MAX_CARD, MAX_EXACT_CARD, NcdCalculator
 from .parallel import default_jobs
 from .partition import DEFAULT_K, PartitionConfig, min_class_distances, recursive_partition
-
-BACKEND_ENV = "NCDM_BACKEND"
-
 
 class UsageError(Exception):
     """Bad paths, flag values or flag combinations; maps to exit status 2."""
@@ -196,8 +192,8 @@ def _add_backend(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--backend",
         type=_BACKEND,
-        help=f"compressor: bz2[:LEVEL], zlib[:LEVEL], or cmd:COMMAND "
-        f"(default: ${BACKEND_ENV} or bz2)",
+        default="bz2",
+        help="compressor: bz2[:LEVEL], zlib[:LEVEL], or cmd:COMMAND (default: bz2)",
     )
     sub.add_argument(
         "--framing",
@@ -218,36 +214,27 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--cache", type=_OUT_FILE, metavar="FILE", help="persistent size-cache snapshot")
 
 
-def _env_backend():
-    """The backend ``$NCDM_BACKEND`` names, or bz2; a bad value names the variable."""
-    try:
-        return _BACKEND(os.environ.get(BACKEND_ENV) or "bz2")
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"${BACKEND_ENV} {exc}") from None
-
-
 def _with_calc(handler, count_jobs: bool = True):
-    """Run ``handler(args, calc)`` between loading and saving the ``--cache``
-    snapshot. If ``count_jobs``, its payload ends with the compression job
-    count, read after all of the handler's work.
+    """Run ``handler(args, calc)`` between loading the ``--cache`` snapshot
+    into the calculator's own cache and saving it. If ``count_jobs``, its
+    payload ends with the compression job count, read after all of the
+    handler's work.
     """
 
     def run(args: argparse.Namespace) -> tuple[dict, dict, str]:
-        backend = args.backend
-        cache = SizeCache()
+        calc = NcdCalculator(args.backend, mode=args.framing, jobs=args.jobs)
         snapshot = Path(args.cache) if args.cache else None
         if snapshot is not None and snapshot.is_file():
             try:
-                cache.load(snapshot, backend.name)
+                calc.cache.load(snapshot)
             except (OSError, ValueError) as exc:
                 raise UsageError(str(exc)) from exc
-        calc = NcdCalculator(backend, mode=args.framing, cache=cache, jobs=args.jobs)
         echo, payload, summary = handler(args, calc)
         if snapshot is not None:
             with _writing("--cache", snapshot):
-                cache.save(snapshot, backend.name)
+                calc.cache.save(snapshot)
         if count_jobs:
-            payload["compression_jobs"] = cache.job_count
+            payload["compression_jobs"] = calc.cache.job_count
         return echo, payload, summary
 
     return run
@@ -314,7 +301,7 @@ def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
 def _cmd_loocv(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     corpus = load_corpus(args.classes)
     result = loocv(calc, corpus, method=args.method)
-    return {"method": args.method, "seed": args.seed}, result.to_dict(), result.summary()
+    return {"method": args.method}, result.to_dict(), result.summary()
 
 
 def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
@@ -460,7 +447,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("loocv", help="leave-one-out cross-validation")
     p.add_argument("--classes", type=_DIR, required=True)
     p.add_argument("--method", type=_METHOD, default="delta")
-    p.add_argument("--seed", type=int, default=None, help="echoed into the report")
     _add_common(p)
     p.set_defaults(handler=_with_calc(_cmd_loocv, count_jobs=False))
 
@@ -524,8 +510,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if "backend" in args and args.backend is None:  # no --backend given
-            args.backend = _env_backend()
         echo, payload, summary = args.handler(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

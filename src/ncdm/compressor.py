@@ -287,15 +287,18 @@ def content_digest(data: bytes) -> str:
 
 
 class SizeCache:
-    """Thread-safe map from request digest to compressed size.
+    """Thread-safe map from request digest to compressed size, for one backend.
 
-    Safe because backends are deterministic: duplicate inserts carry the same
+    It holds the sizes of the backend it is built with, named by ``backend``;
+    its snapshots carry that name and it loads only those that do. Safe
+    because backends are deterministic: duplicate inserts carry the same
     value, so last-write-wins never changes an answer. ``job_count`` counts
     distinct digests that were actually compressed, which is the unit the
     performance contracts are written in.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, backend: str) -> None:
+        self.backend = backend
         self._lock = threading.Lock()
         self._entries: dict[str, int] = {}
         self.lookups = 0
@@ -319,7 +322,7 @@ class SizeCache:
                 self.job_count += 1
             self._entries[digest] = size
 
-    def save(self, path: str | Path, backend: str) -> None:
+    def save(self, path: str | Path) -> None:
         """Snapshot as a ``SNAPSHOT_HEADER BACKEND`` line, then
         ``hex-digest<TAB>size`` lines sorted by digest.
 
@@ -327,7 +330,7 @@ class SizeCache:
         renamed over ``path``, so no reader ever sees a torn snapshot.
         """
         path = Path(path)
-        lines = [f"{SNAPSHOT_HEADER} {backend}\n"]
+        lines = [f"{SNAPSHOT_HEADER} {self.backend}\n"]
         lines += [f"{d}\t{s}\n" for d, s in sorted(self._entries.items())]
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
@@ -336,15 +339,15 @@ class SizeCache:
         finally:
             tmp.unlink(missing_ok=True)
 
-    def load(self, path: str | Path, backend: str) -> int:
-        """Merge a snapshot that ``backend`` wrote; returns the number of records read.
+    def load(self, path: str | Path) -> int:
+        """Merge a snapshot of this cache's backend; returns the number of records read.
 
         Loaded sizes are not compression jobs. Raises ``ValueError``, naming
         the file and the line, when the header is missing or names another
         backend, or when a record does not parse; nothing is merged then.
         """
         lines = Path(path).read_text(errors="replace").splitlines()
-        expected = f"{SNAPSHOT_HEADER} {backend}"
+        expected = f"{SNAPSHOT_HEADER} {self.backend}"
         header = lines[0] if lines else ""
         if header != expected:
             raise ValueError(f"{path}:1: expected header {expected!r}, found {header[:80]!r}")
@@ -439,7 +442,8 @@ def normality_report(
 
     Checks, on up to ``SAMPLED_SINGLETONS`` singletons, ``max_pairs`` pairs and
     ``SAMPLED_TRIPLES`` triples drawn with ``seed``, with G the compressed size
-    and xy the framed concatenation in the given order: determinism G(x)
+    of the framed elements, as the distance frames them, and xy the framed
+    concatenation in the given order: determinism G(x)
     equal on a second compression, and G(xy) equal when compressed through
     ``backend.after(prefix_frame(x))`` (no tolerance: cached sizes are only
     sound for a deterministic backend), idempotency |G(xx) - G(x)| <= tol,
@@ -464,9 +468,9 @@ def normality_report(
         if slack > tol:
             report.violations[prop].append(NormalityViolation(ids, slack, tol))
 
-    def g_single(e: Element) -> int:
+    def g_single(e: Element) -> int:  # framed as the distance frames a singleton
         if e.digest not in sizes:
-            sizes[e.digest] = compress_len(backend, e.data)
+            sizes[e.digest] = compress_len(backend, serialize_multiset((e,), mode))
         return sizes[e.digest]
 
     def g_pair(x: Element, y: Element) -> int:
@@ -479,7 +483,8 @@ def normality_report(
         singles = rng.sample(singles, SAMPLED_SINGLETONS)
     for x in singles:
         gx = g_single(x)
-        record("determinism", (x.id,), abs(compress_len(backend, x.data) - gx), 0)
+        again = compress_len(backend, serialize_multiset((x,), mode))
+        record("determinism", (x.id,), abs(again - gx), 0)
         record("idempotency", (x.id, x.id), abs(g_pair(x, x) - gx), tol_for(2 * len(x.data) + 1))
 
     # Positions in combinations(corpus, 2): sampling them draws what sampling

@@ -111,15 +111,22 @@ class QuantizerConfig:
         if not isinstance(names, list):
             raise ValueError(f"feature_names must be a list, got a {type(names).__name__}")
         try:
-            return cls(
-                n_symbols=int(raw["n_symbols"]),
-                edges=tuple(tuple(float(v) for v in e) for e in raw["edges"]),
-                feature_names=tuple(names),
-            )
+            n_symbols, edges = raw["n_symbols"], raw["edges"]
         except KeyError as exc:
             raise ValueError(f"quantizer config has no {exc} field") from None
-        except TypeError as exc:
-            raise ValueError(f"quantizer config is malformed: {exc}") from None
+        # Refused, not coerced: a JSON bool is a Python int, and a string is iterable.
+        if type(n_symbols) is not int:
+            raise ValueError(f"n_symbols must be an integer, got a {type(n_symbols).__name__}")
+        if not isinstance(edges, list):
+            raise ValueError(f"edges must be a list, got a {type(edges).__name__}")
+        for d, row in enumerate(edges):
+            if not isinstance(row, list) or not all(_is_number(v) for v in row):
+                raise ValueError(f"feature {d}'s edges must be a list of numbers")
+        return cls(n_symbols, tuple(tuple(float(v) for v in row) for row in edges), tuple(names))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_names(names: Sequence[str], width: int, what: str) -> None:

@@ -33,7 +33,6 @@ from typing import Sequence
 import numpy as np
 
 from .compressor import (
-    Bz2Backend,
     CompressorBackend,
     SizeCache,
     cached_compress_len,
@@ -152,25 +151,19 @@ class _Plan:
 class NcdCalculator:
     """Computes compressed sizes and multiset distances against one backend.
 
-    Every size flows through a shared, thread-safe cache keyed by the
-    request key (framing plus element digests), so repeated sub-multisets
-    are compressed exactly once and a cached size is answered without
-    serializing. It holds one pool of ``jobs`` workers for its lifetime
-    (none when ``jobs <= 1``); ``jobs`` changes wall time only, never
-    results.
+    Every size flows through the calculator's own thread-safe cache, which
+    it builds for its backend and keys by the request key (framing plus
+    element digests), so repeated sub-multisets are compressed exactly once
+    and a cached size is answered without serializing. No other calculator
+    shares it, so no size is answered for a backend that did not compute it.
+    The calculator holds one pool of ``jobs`` workers for its lifetime (none
+    when ``jobs <= 1``); ``jobs`` changes wall time only, never results.
     """
 
-    def __init__(
-        self,
-        backend: CompressorBackend | None = None,
-        *,
-        mode: str = "text",
-        cache: SizeCache | None = None,
-        jobs: int = 1,
-    ) -> None:
-        self.backend = backend if backend is not None else Bz2Backend()
+    def __init__(self, backend: CompressorBackend, *, mode: str = "text", jobs: int = 1) -> None:
+        self.backend = backend
         self.mode = mode
-        self.cache = cache if cache is not None else SizeCache()
+        self.cache = SizeCache(backend.name)
         self._pool = worker_pool(jobs)
 
     # -- sizes ---------------------------------------------------------

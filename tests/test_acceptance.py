@@ -22,7 +22,6 @@ from ncdm import (
     Multiset,
     NcdCalculator,
     PartitionConfig,
-    SizeCache,
     TimeSeries,
     ZlibBackend,
     fit_quantizer,
@@ -162,15 +161,14 @@ def test_criterion_4_compression_job_budget():
         )
         for i in range(30)
     ]
-    cache = SizeCache()
-    calc = NcdCalculator(Bz2Backend(), cache=cache, jobs=2)
+    calc = NcdCalculator(Bz2Backend(), jobs=2)
     start = time.perf_counter()
     calc.ncd_heuristic(Multiset(elements))
     elapsed = time.perf_counter() - start
     budget = 30 * 31 // 2 + 60
-    assert cache.job_count <= budget
+    assert calc.cache.job_count <= budget
     assert elapsed < 120
-    record(4, f"heuristic on |X|=30 issued {cache.job_count} jobs <= {budget} ({elapsed:.1f}s)")
+    record(4, f"heuristic on |X|=30 issued {calc.cache.job_count} jobs <= {budget} ({elapsed:.1f}s)")
 
 
 def test_criterion_5_synthetic_classification():

@@ -184,10 +184,10 @@ def test_classify_scores_like_a_loocv_fold(tmp_path, capsys, method):
 
 def test_loocv_reproducible_bytes(tmp_path, capsys):
     root = write_class_dirs(tmp_path)
-    code, _, _ = run(capsys, "loocv", "--classes", str(root), "--method", "delta", "--seed", "3")
-    out1 = main(["loocv", "--classes", str(root), "--method", "delta", "--seed", "3"])
+    code, _, _ = run(capsys, "loocv", "--classes", str(root), "--method", "delta")
+    out1 = main(["loocv", "--classes", str(root), "--method", "delta"])
     first = capsys.readouterr().out
-    out2 = main(["loocv", "--classes", str(root), "--method", "delta", "--seed", "3"])
+    out2 = main(["loocv", "--classes", str(root), "--method", "delta"])
     second = capsys.readouterr().out
     assert code == out1 == out2 == 0
     assert first == second  # byte-identical JSON
@@ -471,29 +471,13 @@ def test_cache_file_round_trip(tmp_path, capsys):
     assert r2["compression_jobs"] == 0  # everything served from the snapshot
 
 
-def test_backend_env_variable(tmp_path, capsys, monkeypatch):
+def test_pair_without_backend_uses_bz2(tmp_path, capsys, monkeypatch):
     f = tmp_path / "a.txt"
     f.write_bytes(b"payload " * 50)
-    monkeypatch.setenv("NCDM_BACKEND", "zlib:9")
+    monkeypatch.setenv("NCDM_BACKEND", "zlib:9")  # no variable picks the backend
     code, report, _ = run(capsys, "pair", str(f), str(f))
     assert code == 0
-    assert report["config"]["backend"] == "zlib-9"
-
-
-@pytest.mark.parametrize("flag", [[], ["--backend", "zlib"]])
-def test_bad_backend_env_variable_names_itself_unless_the_flag_is_given(
-    tmp_path, capsys, monkeypatch, flag
-):
-    f = tmp_path / "a.txt"
-    f.write_bytes(b"payload " * 50)
-    monkeypatch.setenv("NCDM_BACKEND", "lz4")
-    calls = _count_compressions(monkeypatch)
-    code, report, err = run(capsys, "pair", str(f), str(f), *flag)
-    if flag:
-        assert code == 0 and report["config"]["backend"] == "zlib-6"
-    else:
-        assert code == 2 and report is None and calls == []
-        assert err.startswith("usage error: $NCDM_BACKEND lz4 is not ") and "--backend" not in err
+    assert report["config"]["backend"] == "bz2-9"
 
 
 def test_cache_from_another_backend_is_refused(tmp_path, capsys):
@@ -890,6 +874,10 @@ def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
         ("csv-3-names-for-2-columns", 1),
         ("config-1-name-for-2-features", 1),
         ("config-names-a-string", 1),
+        ("config-edges-row-a-string", 1),
+        ("config-n_symbols-a-fraction", 1),
+        ("config-n_symbols-a-string", 1),
+        ("config-edge-a-string", 1),
     ],
 )
 def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
@@ -921,6 +909,11 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         "config-no-features": '{"n_symbols": 2, "edges": []}',
         "config-1-name-for-2-features": '{"n_symbols": 2, "feature_names": ["only"], "edges": [[1], [2]]}',
         "config-names-a-string": '{"n_symbols": 2, "feature_names": "xy", "edges": [[1.0], [2.0]]}',
+        # refused, not coerced into a config that loads
+        "config-edges-row-a-string": '{"n_symbols": 3, "edges": ["12", "34"]}',
+        "config-n_symbols-a-fraction": '{"n_symbols": 2.9, "edges": [[1.0], [2.0]]}',
+        "config-n_symbols-a-string": '{"n_symbols": "2", "edges": [[1.0], [2.0]]}',
+        "config-edge-a-string": '{"n_symbols": 2, "edges": [["0.5"], [2.0]]}',
     }
     if case in bad_quantizers:
         config.write_text(bad_quantizers[case])
@@ -1079,7 +1072,7 @@ def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monke
 @pytest.mark.parametrize(
     "argv, flag",
     [
-        (["loocv", "--classes", "ROOT", "--seed", "abc"], "--seed"),
+        (["loocv", "--classes", "ROOT", "--seed", "3"], "--seed"),
         (["loocv", "--backend", "zlib"], "--classes"),
         (["pair", "ITEM", "ITEM", "--framing", "bits"], "--framing"),
         (["multiset", "ITEM", "ITEM", "--exact", "--ncd1"], "--ncd1"),
@@ -1092,7 +1085,7 @@ def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monke
         (["pair", "ITEM", "ITEM", "--unknown"], "--unknown"),
     ],
     ids=[
-        "seed-abc",
+        "loocv-seed",
         "no-classes",
         "framing-choice",
         "exclusive-styles",

@@ -306,7 +306,7 @@ def test_uvarint_round_trip(n):
 
 def test_cache_transparency():
     backend = Bz2Backend()
-    cache = SizeCache()
+    cache = SizeCache(backend.name)
     data = random_element(2, 4096, "x").data
     key = b"request"
     first = cached_compress_len(backend, cache, key, lambda: data)
@@ -317,11 +317,11 @@ def test_cache_transparency():
 
 
 def test_cache_snapshot_round_trip(tmp_path):
-    cache = SizeCache()
+    cache = SizeCache("bz2-9")
     cache.put(content_digest(b"abc"), 11)
     cache.put(content_digest(b"def"), 22)
     path = tmp_path / "sizes.tsv"
-    cache.save(path, "bz2-9")
+    cache.save(path)
     header, *lines = path.read_text().splitlines()
     assert header == "# ncdm-sizes v2 bz2-9"
     assert len(lines) == 2
@@ -329,8 +329,8 @@ def test_cache_snapshot_round_trip(tmp_path):
     digest, size = lines[0].split("\t")
     assert len(digest) == 64 and size.isdigit()
 
-    fresh = SizeCache()
-    assert fresh.load(path, "bz2-9") == 2
+    fresh = SizeCache("bz2-9")
+    assert fresh.load(path) == 2
     assert fresh.get(content_digest(b"abc")) == 11
     assert fresh.job_count == 0  # preloads are not compression jobs
 
@@ -339,14 +339,14 @@ def test_cache_snapshot_refuses_a_size_too_large_to_be_exact_as_a_float(tmp_path
     path = tmp_path / "sizes.tsv"
     path.write_text(f"# ncdm-sizes v2 bz2-9\n{'0' * 64}\t{'9' * 15}\n{'1' * 64}\t{'9' * 16}\n")
     with pytest.raises(ValueError, match=":3: not a digest<TAB>size record"):
-        SizeCache().load(path, "bz2-9")
+        SizeCache("bz2-9").load(path)
 
 
 def test_cache_concurrent_inserts_are_safe():
     from concurrent.futures import ThreadPoolExecutor
 
     backend = ZlibBackend()
-    cache = SizeCache()
+    cache = SizeCache(backend.name)
     data = random_element(3, 1024, "x").data
     with ThreadPoolExecutor(8) as pool:
         results = list(
@@ -443,6 +443,16 @@ def test_normality_determinism_probe_covers_checkpoints(mode):
     )
     for violation in report.violations["determinism"]:
         assert violation.slack == 1 and violation.tolerance == 0
+
+
+@pytest.mark.parametrize("mode", FRAMING_MODES)
+def test_normality_frames_a_singleton_as_the_distance_does(mode):
+    corpus = [random_text_element(70 + i, 512, f"i{i}") for i in range(4)]
+    report = normality_report(ZlibBackend(), corpus, tolerance=0, seed=7, mode=mode)
+    g = NcdCalculator(ZlibBackend(), mode=mode).g
+    expected = {x.id: abs(g(Multiset([x, x])) - g(Multiset([x]))) for x in corpus}
+    assert all(expected.values())  # so every check is recorded as a violation
+    assert {v.ids[0]: v.slack for v in report.violations["idempotency"]} == expected
 
 
 def test_pair_at_enumerates_the_combinations_in_order():

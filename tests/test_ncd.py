@@ -18,7 +18,6 @@ from ncdm import (
     Element,
     Multiset,
     NcdCalculator,
-    SizeCache,
     ZlibBackend,
 )
 import ncdm.ncd
@@ -193,8 +192,8 @@ def test_g_profiles_equal_one_profile_at_a_time(texts, data, jobs):
     subsets = st.lists(st.sampled_from(pool), min_size=2, max_size=5, unique_by=lambda e: e.id)
     multisets = [Multiset(m) for m in data.draw(st.lists(subsets, min_size=1, max_size=6))]
     multisets += data.draw(st.lists(st.sampled_from(multisets), max_size=3))
-    batch = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
-    single = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
+    batch = NcdCalculator(ZlibBackend(), jobs=jobs)
+    single = NcdCalculator(ZlibBackend(), jobs=jobs)
     assert batch.g_profiles(multisets) == [single.g_profile(ms) for ms in multisets]
     assert batch.cache.job_count == single.cache.job_count
 
@@ -321,10 +320,9 @@ def test_heuristic_chain_structure(bz2_calc):
 def test_heuristic_job_budget(bz2_calc):
     n = 8
     ms = mixed_multiset(15, n)
-    cache = SizeCache()
-    calc = NcdCalculator(Bz2Backend(), cache=cache, jobs=1)
+    calc = NcdCalculator(Bz2Backend(), jobs=1)
     calc.ncd_heuristic(ms)
-    assert cache.job_count <= n * (n + 1) // 2 + 2 * n
+    assert calc.cache.job_count <= n * (n + 1) // 2 + 2 * n
 
 
 @given(pooled_texts, st.data(), st.sampled_from([1, 2]))
@@ -334,10 +332,10 @@ def test_heuristic_equals_a_greedy_loop_over_g(texts, data, jobs):
     pool = [Element(t.encode(), f"{copy}{i}") for i, t in enumerate(texts) for copy in "ab"]
     members = st.lists(st.sampled_from(pool), min_size=2, max_size=6, unique_by=lambda e: e.id)
     ms = Multiset(data.draw(members))
-    calc = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
+    calc = NcdCalculator(ZlibBackend(), jobs=jobs)
     result = calc.ncd_heuristic(ms)
 
-    oracle = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=1)
+    oracle = NcdCalculator(ZlibBackend(), jobs=1)
     chain, best, witness, current = [], None, None, ms
     while True:
         k = len(current)
@@ -426,17 +424,16 @@ def test_matrix_symmetric_zero_diagonal(bz2_calc):
 def test_matrix_job_count(bz2_calc):
     n = 6
     elements = fragment_elements(32, make_vocab(32, ALPHABET_B), n)
-    cache = SizeCache()
-    calc = NcdCalculator(Bz2Backend(), cache=cache, jobs=1)
+    calc = NcdCalculator(Bz2Backend(), jobs=1)
     calc.distance_matrix(elements)
-    assert cache.job_count == n + n * (n - 1) // 2
+    assert calc.cache.job_count == n + n * (n - 1) // 2
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_matrix_asks_for_each_size_once(jobs):
     n = 7
     elements = fragment_elements(35, make_vocab(35, ALPHABET_B), n)
-    calc = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
+    calc = NcdCalculator(ZlibBackend(), jobs=jobs)
     dm = calc.distance_matrix(elements)
     assert calc.cache.lookups == n + n * (n - 1) // 2
     pairwise = NcdCalculator(ZlibBackend(), jobs=1)
@@ -462,7 +459,7 @@ def test_matrix_compresses_each_pair_of_repeated_texts_once(monkeypatch):
         # Each text twice, under different ids, in a different order each time.
         elements = [Element(e.data, f"{e.id}-{copy}") for copy in "ab" for e in texts]
         random.Random(k).shuffle(elements)
-        calc = NcdCalculator(Bz2Backend(), cache=SizeCache(), jobs=2)
+        calc = NcdCalculator(Bz2Backend(), jobs=2)
         calc.distance_matrix(elements)
         # 4 singletons, 6 pairs of distinct texts and 4 self-pairs.
         assert calc.cache.job_count == 4 + 6 + 4
@@ -501,8 +498,8 @@ def test_matrix_permutation_invariant(payloads, repeats, rng, mode, jobs):
     order = list(range(len(elements)))
     rng.shuffle(order)
     backend = ZlibBackend()
-    dm = NcdCalculator(backend, mode=mode, cache=SizeCache(), jobs=jobs).distance_matrix(elements)
-    shuffled = NcdCalculator(backend, mode=mode, cache=SizeCache(), jobs=jobs).distance_matrix(
+    dm = NcdCalculator(backend, mode=mode, jobs=jobs).distance_matrix(elements)
+    shuffled = NcdCalculator(backend, mode=mode, jobs=jobs).distance_matrix(
         [elements[i] for i in order]
     )
     assert shuffled.labels == tuple(dm.labels[i] for i in order)
@@ -521,9 +518,9 @@ def test_matrix_is_pairwise_bit_for_bit_and_shares_pair_keys(payloads, repeats, 
         payloads = [p.replace(b"\n", b" ") for p in payloads]
     payloads += [payloads[r % len(payloads)] for r in repeats]  # repeated texts
     elements = [Element(p, f"e{i}") for i, p in enumerate(payloads)]
-    calc = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=jobs)
+    calc = NcdCalculator(ZlibBackend(), mode=mode, jobs=jobs)
     dm = calc.distance_matrix(elements)
-    g = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=1).g
+    g = NcdCalculator(ZlibBackend(), mode=mode, jobs=1).g
     pairs = list(itertools.combinations(range(len(elements)), 2))
     for i, j in pairs:
         x, y = elements[i], elements[j]
@@ -533,7 +530,7 @@ def test_matrix_is_pairwise_bit_for_bit_and_shares_pair_keys(payloads, repeats, 
     assert not np.diagonal(dm.values).any()
     # A cache warmed by ncd_pairs over the same pairs answers every size the
     # matrix asks for, so its pair keys are request_key((x, y)).
-    warm = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=jobs)
+    warm = NcdCalculator(ZlibBackend(), mode=mode, jobs=jobs)
     values = warm.ncd_pairs([(elements[i], elements[j]) for i, j in pairs])
     assert [v.hex() for v in values] == [dm.values[i, j].hex() for i, j in pairs]
     cache = warm.cache
@@ -573,7 +570,7 @@ def test_ncd1_heuristic_and_exact_are_permutation_invariant(texts, rng):
     rng.shuffle(shuffled)
     answers = []
     for order in (elements, shuffled):
-        calc = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=1)
+        calc = NcdCalculator(ZlibBackend(), jobs=1)
         ms = Multiset(order)
         answers.append(
             (calc.ncd1(ms).value, calc.ncd_heuristic(ms).ncd.value, calc.ncd_exact(ms).value)
@@ -588,11 +585,11 @@ def test_ncd1_heuristic_and_exact_are_permutation_invariant(texts, rng):
 
 def test_warm_cache_gives_identical_values():
     ms = mixed_multiset(40, 5)
-    cache = SizeCache()
-    calc1 = NcdCalculator(Bz2Backend(), cache=cache, jobs=1)
-    first = calc1.ncd_heuristic(ms).ncd.value
-    calc2 = NcdCalculator(Bz2Backend(), cache=cache, jobs=1)
-    second = calc2.ncd_heuristic(ms).ncd.value
+    calc = NcdCalculator(Bz2Backend(), jobs=1)
+    first = calc.ncd_heuristic(ms).ncd.value
+    cold_jobs = calc.cache.job_count
+    second = calc.ncd_heuristic(ms).ncd.value
+    assert calc.cache.job_count == cold_jobs  # the second run compresses nothing
     fresh = NcdCalculator(Bz2Backend(), jobs=1).ncd_heuristic(ms).ncd.value
     assert first == second == fresh
 
@@ -627,12 +624,12 @@ def test_warm_snapshot_equals_cold_run(payloads, mode):
     if mode == "text":
         payloads = [p.replace(b"\n", b" ") for p in payloads]
     elements = [Element(p, f"e{i}") for i, p in enumerate(payloads)]
-    cold = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=1)
+    cold = NcdCalculator(ZlibBackend(), mode=mode, jobs=1)
     cold_answers = _everything(cold, elements)
     with tempfile.TemporaryDirectory() as tmp:
         snapshot = Path(tmp) / "sizes.tsv"
-        cold.cache.save(snapshot, cold.backend.name)
-        warm = NcdCalculator(ZlibBackend(), mode=mode, cache=SizeCache(), jobs=1)
-        warm.cache.load(snapshot, warm.backend.name)
+        cold.cache.save(snapshot)
+        warm = NcdCalculator(ZlibBackend(), mode=mode, jobs=1)
+        warm.cache.load(snapshot)
     assert _everything(warm, elements) == cold_answers
     assert warm.cache.job_count == 0

@@ -17,7 +17,6 @@ from ncdm import (
     LabeledCorpus,
     Multiset,
     NcdCalculator,
-    SizeCache,
     ZlibBackend,
     loocv,
 )
@@ -63,7 +62,7 @@ def test_copies_under_other_ids_are_compressed_once(monkeypatch):
     ms = Multiset(Element(text, f"{copy}{i}") for i, text in enumerate(texts) for copy in "ab")
     jobs = 0
     for _ in range(40):
-        calc = NcdCalculator(Bz2Backend(), cache=SizeCache(), jobs=2)
+        calc = NcdCalculator(Bz2Backend(), jobs=2)
         calc.g_profile(ms)
         calc.ncd_heuristic(ms)
         jobs += calc.cache.job_count
@@ -89,7 +88,7 @@ def test_jobs_do_not_change_any_answer(texts):
     ms = Multiset(elements)
     runs = []
     for jobs in (1, 2):
-        calc = NcdCalculator(ZlibBackend(), cache=SizeCache(), jobs=jobs)
+        calc = NcdCalculator(ZlibBackend(), jobs=jobs)
         profile = calc.g_profile(ms)
         after_profile = calc.cache.job_count
         heuristic = calc.ncd_heuristic(ms)
