@@ -34,6 +34,8 @@ values, still before any work: ``--track-len LO HI`` needs LO <= HI <=
 ``datagen.MAX_TRACK_LEN`` (2**20 samples, so one track stays under ingest's
 2**28 bytes), and no two inputs of ``quantize`` or ``image2bits`` may write
 one output file. An ``OSError`` while writing an output is a usage error too.
+``matrix --csv`` writes each label as its file name's own bytes, so a name
+that is not UTF-8 is written as it is, where the JSON report escapes it.
 
 A ``--cache`` snapshot starts with the line ``# ncdm-sizes v2 BACKEND``
 followed by one ``sha256-hex<TAB>size`` record per line. A record's digest is
@@ -277,7 +279,7 @@ def _cmd_matrix(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     dm = calc.distance_matrix(_gather_elements(args.inputs))
     if args.csv:
         with _writing("--csv", args.csv):
-            Path(args.csv).write_text(dm.to_csv())
+            Path(args.csv).write_text(dm.to_csv(), encoding="utf-8", errors="surrogateescape")
     payload = {"labels": list(dm.labels), "values": dm.values.tolist()}
     return {"csv": args.csv}, payload, f"{len(dm.labels)}x{len(dm.labels)} distance matrix"
 

@@ -119,10 +119,15 @@ class QuantizerConfig:
             raise ValueError(f"n_symbols must be an integer, got a {type(n_symbols).__name__}")
         if not isinstance(edges, list):
             raise ValueError(f"edges must be a list, got a {type(edges).__name__}")
+        rows = []
         for d, row in enumerate(edges):
             if not isinstance(row, list) or not all(_is_number(v) for v in row):
                 raise ValueError(f"feature {d}'s edges must be a list of numbers")
-        return cls(n_symbols, tuple(tuple(float(v) for v in row) for row in edges), tuple(names))
+            try:
+                rows.append(tuple(float(v) for v in row))
+            except OverflowError:  # a JSON integer past the largest float
+                raise ValueError(f"feature {d}'s edges hold a number too large for a float") from None
+        return cls(n_symbols, tuple(rows), tuple(names))
 
 
 def _is_number(value) -> bool:

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ncdm.compressor
@@ -139,6 +139,20 @@ def test_matrix_csv_output(tmp_path, capsys):
     matrix = np.array(report["values"])
     assert matrix.shape == (3, 3)
     assert np.allclose(matrix, matrix.T)
+
+
+def test_matrix_csv_writes_each_label_as_its_file_names_bytes(tmp_path, capsys):
+    d = tmp_path / "items"
+    d.mkdir()
+    names = [b"\xffa.txt", b"b.txt", "c\u00e9.txt".encode()]  # not UTF-8, ASCII, UTF-8
+    for name in names:
+        (d / os.fsdecode(name)).write_bytes(b"alpha beta gamma " * 5 + name)
+    out_csv = tmp_path / "u.csv"
+    code, report, _ = run(capsys, "matrix", str(d), "--backend", "zlib", "--csv", str(out_csv))
+    assert code == 0
+    header = out_csv.read_bytes().split(b"\n")[0]
+    assert header == b",".join(os.fsencode(label) for label in report["labels"])
+    assert sorted(header.split(b",")) == sorted(names)
 
 
 def test_matrix_jobs_flag_does_not_change_output(tmp_path, capsys):
@@ -385,6 +399,7 @@ def test_compressor_check(tmp_path, capsys):
         (d / f"c{i}.txt").write_bytes(e.data)
     code, report, err = run(capsys, "compressor-check", str(d), "--backend", "bz2")
     assert code == 0
+    assert report["command"] == "compressor-check"
     assert set(report["violations"]) == {
         "determinism",
         "idempotency",
@@ -490,6 +505,7 @@ def test_cache_from_another_backend_is_refused(tmp_path, capsys):
     assert code == 0
     code, report, err = run(capsys, "pair", str(a), str(b), "--backend", "zlib", "--cache", str(cache))
     assert code == 2 and report is None
+    assert err.startswith("usage error:") and "Traceback" not in err
     assert "bz2-9" in err and "zlib-6" in err
 
 
@@ -640,7 +656,7 @@ def test_gen_synthetic_bad_flag_is_a_usage_error(tmp_path, capsys, flags):
     argv = ["gen-synthetic", "--upsilon", "3", "--cells", "4", "--out", str(out), *flags]
     code, report, err = run(capsys, *argv)
     assert code == 2 and report is None
-    assert err.startswith("usage error:")
+    assert err.startswith(f"usage error: {flags[0]} ")
     assert not out.exists()
     assert flags[0] in err and "Traceback" not in err
 
@@ -773,7 +789,9 @@ def _valid_input(kind: str, tmp: Path) -> tuple[bytes, list, list[bytes], list[s
         (tmp / "s.csv").write_bytes(b"f0,f1\n0.5,1.5\n2.5,-3.5\n")
         data = json.dumps({"n_symbols": 2, "feature_names": ["f0", "f1"], "edges": [[1.0], [-2.0]]})
         data = data.encode()
-        spans = [m.span() for m in re.finditer(rb"-?[\d.]+|\[[^][]*\]", data)]
+        # each number, inside an edges row or not, then each row whole
+        patterns = rb"-?[\d.]+", rb"\[[^][]*\]"
+        spans = [m.span() for pattern in patterns for m in re.finditer(pattern, data)]
         return data, spans, numbers, ["quantize", str(tmp / "s.csv"), "--config", src, "--out", out]
     if kind == "manifest":
         for label, words in (("alpha", "aa ab"), ("beta", "zz zy")):
@@ -803,6 +821,7 @@ _MUTATION = st.tuples(
 
 
 @settings(max_examples=150, deadline=None)
+@example(kind="quantizer", mutations=[("field", 3, 1)])  # feature 0's edge set to 9 * 400 digits
 @given(
     kind=st.sampled_from(["pgm", "idx", "cache", "csv", "quantizer", "manifest"]),
     mutations=st.lists(_MUTATION, min_size=1, max_size=3),
@@ -878,6 +897,7 @@ def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
         ("config-n_symbols-a-fraction", 1),
         ("config-n_symbols-a-string", 1),
         ("config-edge-a-string", 1),
+        ("config-edge-too-large-for-a-float", 1),
     ],
 )
 def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, case, expected):
@@ -914,6 +934,7 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         "config-n_symbols-a-fraction": '{"n_symbols": 2.9, "edges": [[1.0], [2.0]]}',
         "config-n_symbols-a-string": '{"n_symbols": "2", "edges": [[1.0], [2.0]]}',
         "config-edge-a-string": '{"n_symbols": 2, "edges": [["0.5"], [2.0]]}',
+        "config-edge-too-large-for-a-float": '{"n_symbols": 2, "edges": [[1%s], [2.0]]}' % ("0" * 400),
     }
     if case in bad_quantizers:
         config.write_text(bad_quantizers[case])
@@ -943,6 +964,8 @@ def test_quantize_bad_flag_or_data_ends_without_a_traceback(tmp_path, capsys, ca
         assert "n_symbols" in err
     if case == "csv-with-a-word":
         assert err.startswith(f"error: {csv}: could not convert string 'abc'")
+    if case == "config-edge-too-large-for-a-float":
+        assert err == f"error: {config}: feature 0's edges hold a number too large for a float\n"
     if case == "csv-3-names-for-2-columns":
         assert err == f"error: {csv}: time series has 3 feature names for 2 features\n"
         assert not config.exists()  # no --save-config written
@@ -1107,6 +1130,8 @@ def test_every_parse_error_is_a_usage_error(tmp_path, capsys, monkeypatch, argv,
     code, report, err = run(capsys, *[places.get(a, a) for a in argv])  # returns, no SystemExit
     assert code == 2 and report is None
     assert err.startswith("usage error: ") and flag in err and "Traceback" not in err
+    if flag == "--max-card":
+        assert err.startswith("usage error: --max-card ")
     assert calls == []
 
 
