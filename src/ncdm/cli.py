@@ -106,6 +106,8 @@ def _arg(convert, ok, problem: str):
                 return value
         except ValueError:
             pass
+        except OSError as exc:  # a path the system cannot look up, such as a name too long
+            raise argparse.ArgumentTypeError(f"{raw} cannot be looked up: {exc.strerror}") from exc
         raise argparse.ArgumentTypeError(problem.format(raw))
 
     return parse

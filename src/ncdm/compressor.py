@@ -229,7 +229,7 @@ def serialize_multiset(ms: Iterable[Element], mode: str = "text") -> bytes:
     its LEB128-encoded length and is safe for arbitrary binary content.
     """
     if mode == "text":
-        return SEPARATOR.join(_check_separator(e).data for e in ms)
+        return SEPARATOR.join(check_separator(e).data for e in ms)
     if mode == "varint":
         return b"".join(encode_uvarint(len(e.data)) + e.data for e in ms)
     raise ValueError(f"unknown framing mode {mode!r}; expected one of {FRAMING_MODES}")
@@ -254,7 +254,7 @@ def prefix_frame(e: Element, mode: str) -> bytes:
     return framed + SEPARATOR if mode == "text" else framed
 
 
-def _check_separator(e: Element) -> Element:
+def check_separator(e: Element) -> Element:
     if SEPARATOR in e.data:
         raise SeparatorCollisionError(
             f"element {e.id!r} contains the separator byte "
@@ -268,17 +268,10 @@ def request_key(ms: Iterable[Element], mode: str) -> bytes:
 
     The framing mode followed by each element's digest in iteration order,
     so equal keys frame equal bytes and a cache hit needs no serialization.
-    ``text`` framing checks every element for the separator here, so a
-    collision is raised before the cache is consulted.
-
-    A key extends by appending digests: ``request_key((x,), mode) + y.digest
-    == request_key((x, y), mode)``, so a caller that has already checked
-    ``y`` can key every pair led by ``x`` without scanning either again.
+    It reads digests only, so a ``text`` caller runs ``check_separator`` first.
     """
     if mode not in FRAMING_MODES:
         raise ValueError(f"unknown framing mode {mode!r}; expected one of {FRAMING_MODES}")
-    if mode == "text":
-        ms = [_check_separator(e) for e in ms]
     return b"".join([mode.encode(), b":", *(e.digest for e in ms)])
 
 
@@ -332,12 +325,13 @@ class SizeCache:
         path = Path(path)
         lines = [f"{SNAPSHOT_HEADER} {self.backend}\n"]
         lines += [f"{d}\t{s}\n" for d, s in sorted(self._entries.items())]
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        tmp = path.with_name(f".ncdm-{os.getpid()}.tmp")  # fits beside any legal name
         try:
             tmp.write_text("".join(lines))
             os.replace(tmp, path)
-        finally:
+        except BaseException:  # not `finally`: the target may have the temporary name
             tmp.unlink(missing_ok=True)
+            raise
 
     def load(self, path: str | Path) -> int:
         """Merge a snapshot of this cache's backend; returns the number of records read.

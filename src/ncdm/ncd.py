@@ -15,10 +15,8 @@ a plan, down to ``g`` and ``ncd_pairwise``. ``g_profiles`` plans the whole
 multiset, leave-one-outs and singletons of a batch of multisets: a whole
 LOOCV, ``classify`` batch, K-Lists iteration or set of margins is one map.
 
-The pairwise matrix does no more Python work per pair than a cache lookup:
-each distinct element is framed and checked for the separator once, a row
-extends its first element's request key by each partner's digest, and the
-whole matrix is scored in one array expression.
+The pairwise matrix does no more Python work per pair than a cache lookup,
+and the whole matrix is scored in one array expression.
 """
 
 from __future__ import annotations
@@ -36,6 +34,7 @@ from .compressor import (
     CompressorBackend,
     SizeCache,
     cached_compress_len,
+    check_separator,
     prefix_frame,
     request_key,
     serialize_multiset,
@@ -132,19 +131,27 @@ class DistanceMatrix:
 
 
 class _Plan:
-    """Distinct size requests in first-asked order, each kept once under its key."""
+    """Distinct size requests in first-asked order, each kept once under its key.
+
+    A request is an element tuple in canonical order. ``text`` framing checks
+    each distinct element for the separator once, as asked, before any lookup.
+    """
 
     def __init__(self, mode: str) -> None:
         self.mode = mode
         self.slots: dict[bytes, int] = {}
-        self.requests: list[tuple[bytes, Multiset]] = []
+        self.requests: list[tuple[bytes, tuple[Element, ...]]] = []
+        self.checked: set[bytes] = set()
 
-    def ask(self, ms: Multiset) -> int:
-        """Index of ``ms``'s size in the plan's answers; a repeated key gets its first index."""
-        key = request_key(ms, self.mode)
+    def ask(self, els: tuple[Element, ...]) -> int:
+        """Index of ``els``'s size in the plan's answers; a repeated key gets its first index."""
+        for e in els if self.mode == "text" else ():
+            if e.digest not in self.checked:
+                self.checked.add(check_separator(e).digest)
+        key = request_key(els, self.mode)
         slot = self.slots.setdefault(key, len(self.requests))
         if slot == len(self.requests):
-            self.requests.append((key, ms))
+            self.requests.append((key, els))
         return slot
 
 
@@ -172,12 +179,12 @@ class NcdCalculator:
         """Compressed size of the serialized multiset."""
         if len(ms) == 0:
             raise DegenerateInputError("an empty multiset has no compressed size")
-        return self._sizes([ms])[0]
+        return self._sizes([ms.elements])[0]
 
-    def _size(self, request: tuple[bytes, Multiset]) -> int:
-        key, ms = request
+    def _size(self, request: tuple[bytes, tuple[Element, ...]]) -> int:
+        key, els = request
         return cached_compress_len(
-            self.backend, self.cache, key, lambda: serialize_multiset(ms, self.mode)
+            self.backend, self.cache, key, lambda: serialize_multiset(els, self.mode)
         )
 
     def _run(self, plan: _Plan) -> list[int]:
@@ -195,14 +202,14 @@ class NcdCalculator:
             sizes[i] = size
         return sizes
 
-    def _sizes(self, multisets: Sequence[Multiset]) -> list[int]:
-        """Sizes of ``multisets`` in order, from one map over their distinct request keys.
+    def _sizes(self, requests: Sequence[tuple[Element, ...]]) -> list[int]:
+        """Sizes of ``requests`` in order, from one map over their distinct request keys.
 
-        Deduped by key, not by multiset: copies of one text under different
+        Deduped by key, not by elements: copies of one text under different
         ids are one request, so no two workers compress the same bytes.
         """
         plan = _Plan(self.mode)
-        slots = [plan.ask(ms) for ms in multisets]
+        slots = [plan.ask(els) for els in requests]
         sizes = self._run(plan)
         return [sizes[slot] for slot in slots]
 
@@ -216,15 +223,15 @@ class NcdCalculator:
         plan = _Plan(self.mode)
         layouts: dict[int, tuple[list[int], list[int]]] = {}
         wholes = []
-        for ms in multisets:
-            n = len(ms)
+        for els in (ms.elements for ms in multisets):
+            n = len(els)
             if n < 2:
                 raise DegenerateInputError(f"ncd1 needs >= 2 elements, got {n}")
-            whole = plan.ask(ms)
+            whole = plan.ask(els)
             if whole not in layouts:
                 layouts[whole] = (
-                    [plan.ask(ms.remove_at(i)) for i in range(n)],
-                    [plan.ask(Multiset([e])) for e in ms],
+                    [plan.ask(els[:i] + els[i + 1 :]) for i in range(n)],
+                    [plan.ask((e,)) for e in els],
                 )
             wholes.append(whole)
         sizes = self._run(plan)
@@ -320,18 +327,16 @@ class NcdCalculator:
         content x: the row asks for G(xy) of every later y, and for G(xx) when
         x occurs more than once, so each size is asked for once, by one task.
         The singles plan checks every element for the separator before any
-        lookup; each distinct content is then framed once, and a row extends
-        ``request_key((x,))`` by each y's digest, which is
-        ``request_key((x, y))``. The row compresses ``prefix_frame(x)`` once,
-        into ``backend.after``, and each pair on a miss compresses only the
-        framed y from there. n distinct elements cost n + n(n-1)/2 size
-        requests. The scores are one array expression over every id, equal
-        bit for bit to the ncd1 of each pair's ``GProfile``.
+        lookup. The row compresses ``prefix_frame(x)`` once, into
+        ``backend.after``, and each pair on a miss compresses only the framed
+        y from there. n distinct elements cost n + n(n-1)/2 size requests.
+        The scores are one array expression over every id, equal bit for bit
+        to the ncd1 of each pair's ``GProfile``.
         """
         els = list(elements)
         if len(els) < 2:
             raise DegenerateInputError("a distance matrix needs >= 2 elements")
-        singles = self._sizes([Multiset([e]) for e in els])
+        singles = self._sizes([(e,) for e in els])
         distinct = Multiset({e.digest: e for e in els}.values())
         counts = Counter(e.digest for e in els)
         framed = [serialize_multiset((y,), self.mode) for y in distinct]
@@ -340,10 +345,9 @@ class NcdCalculator:
         def row(r: int) -> list[int]:
             x = distinct[r]
             after_x = self.backend.after(prefix_frame(x, self.mode))
-            key_x = request_key((x,), self.mode)
             return [
                 cached_compress_len(
-                    after_x, self.cache, key_x + distinct[c].digest, lambda: framed[c]
+                    after_x, self.cache, request_key((x, distinct[c]), self.mode), lambda: framed[c]
                 )
                 for c in range(r if counts[x.digest] > 1 else r + 1, m)
             ]

@@ -551,11 +551,15 @@ def test_snapshot_answers_only_its_own_framing(tmp_path, capsys):
     assert varint["compression_jobs"] == fresh["compression_jobs"] == 3
 
 
-@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize("where", ["directory", "missing-parent", "name-too-long"])
 def test_bad_cache_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, where):
     a = tmp_path / "a.txt"
     a.write_bytes(b"payload " * 50)
-    cache = tmp_path if where == "directory" else tmp_path / "missing" / "dir" / "s.tsv"
+    cache = {
+        "directory": tmp_path,
+        "missing-parent": tmp_path / "missing" / "dir" / "s.tsv",
+        "name-too-long": tmp_path / ("s" * 256),
+    }[where]
     built = []
 
     class RecordingCalculator(NcdCalculator):
@@ -569,6 +573,18 @@ def test_bad_cache_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch
     assert "usage error" in err and str(cache) in err
     assert built == []  # refused before any work
     assert not (tmp_path / "missing").exists()
+
+
+def test_a_cache_name_of_legal_length_is_saved_and_loaded(tmp_path, capsys):
+    (tmp_path / "a.txt").write_bytes(b"some shared words here " * 30)
+    (tmp_path / "b.txt").write_bytes(b"other words, not shared " * 30)
+    cache = tmp_path / ("s" * 250)  # a legal name with no room left to lengthen it
+    argv = ["pair", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--backend", "zlib"]
+    code, cold, err = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0 and cold["compression_jobs"] == 3, err
+    code, warm, _ = run(capsys, *argv, "--cache", str(cache))
+    assert code == 0 and warm["compression_jobs"] == 0 and warm["value"] == cold["value"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt", cache.name]
 
 
 # -- bad flag values and malformed data files ----------------------------------
@@ -1147,12 +1163,17 @@ def _tree(root):
     [
         ("matrix", "--csv", "missing-dir"),
         ("matrix", "--csv", "is-a-dir"),
+        ("matrix", "--csv", "name-too-long"),
         ("quantize", "--save-config", "missing-dir"),
         ("quantize", "--save-config", "is-a-dir"),
+        ("quantize", "--save-config", "name-too-long"),
         ("quantize", "--out", "is-a-file"),
+        ("quantize", "--out", "name-too-long"),
         ("image2bits", "--out", "is-a-file"),
         ("image2bits", "--out", "under-a-file"),
+        ("image2bits", "--out", "name-too-long"),
         ("gen-synthetic", "--out", "is-a-file"),
+        ("gen-synthetic", "--out", "name-too-long"),
     ],
 )
 def test_bad_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, flag, target):
@@ -1167,6 +1188,7 @@ def test_bad_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatc
         "is-a-dir": tmp_path / "adir",
         "is-a-file": tmp_path / "afile",
         "under-a-file": tmp_path / "afile" / "sub",
+        "name-too-long": tmp_path / ("x" * 256),
     }[target]
     argv = {
         "matrix": ["matrix", str(tmp_path / "a.txt"), str(tmp_path / "b.txt"), "--backend", "zlib"],

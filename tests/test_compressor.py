@@ -241,6 +241,17 @@ def test_request_key_names_framing_and_contents_not_ids():
         request_key(Multiset([x]), "packed")
 
 
+def test_request_key_digests_are_pinned():
+    # Snapshot records are keyed by these digests: a change to the key scheme
+    # orphans every saved snapshot, so it must show here first.
+    ms = Multiset([E(b"one fixed element", "a"), E(b"and another", "b")])
+    pinned = {
+        "text": "9fdd6221283826f89502a35cff1900a58442e7e62ec6a989bcd2e952984a7a23",
+        "varint": "282ec49d04903713946db79bcf7763cc306c03847fb77c149ee542c58b981807",
+    }
+    assert {mode: content_digest(request_key(ms, mode)) for mode in pinned} == pinned
+
+
 def test_serialize_unknown_mode():
     with pytest.raises(ValueError):
         serialize_multiset(Multiset(), "packed")
@@ -333,6 +344,14 @@ def test_cache_snapshot_round_trip(tmp_path):
     assert fresh.load(path) == 2
     assert fresh.get(content_digest(b"abc")) == 11
     assert fresh.job_count == 0  # preloads are not compression jobs
+
+
+def test_cache_snapshot_may_be_named_as_its_temporary_file(tmp_path):
+    cache = SizeCache("bz2-9")
+    cache.put(content_digest(b"abc"), 11)
+    path = tmp_path / f".ncdm-{os.getpid()}.tmp"
+    cache.save(path)
+    assert SizeCache("bz2-9").load(path) == 1
 
 
 def test_cache_snapshot_refuses_a_size_too_large_to_be_exact_as_a_float(tmp_path):

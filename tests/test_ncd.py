@@ -22,6 +22,7 @@ from ncdm import (
 )
 import ncdm.ncd
 from ncdm import compressor
+from ncdm.classify import LabeledCorpus, loocv
 from ncdm.compressor import serialize_multiset
 from ncdm.ncd import DEFAULT_EPSILON
 
@@ -214,6 +215,30 @@ def test_g_profiles_ask_longest_first(monkeypatch):
     # of ms minus its first element, whose other requests ms already made
     assert len(asked) == 1 and len(asked[0]) == 15
     assert asked[0] == sorted(asked[0], reverse=True)
+
+
+def test_a_plan_checks_each_distinct_element_for_the_separator_once(monkeypatch):
+    checked = []
+
+    def counting(e):
+        checked.append(e.id)
+        return compressor.check_separator(e)
+
+    monkeypatch.setattr(ncdm.ncd, "check_separator", counting)
+    classes = {
+        label: Multiset(fragment_elements(seed, make_vocab(seed, alphabet), 4, 40, label))
+        for label, seed, alphabet in (("a", 1, ALPHABET_A), ("b", 2, ALPHABET_B))
+    }
+    calc = NcdCalculator(ZlibBackend(), jobs=2)
+    # One plan of 8 folds, each asking for many requests over the same 8 elements.
+    loocv(calc, LabeledCorpus(classes))
+    assert sorted(checked) == sorted(e.id for ms in classes.values() for e in ms)
+    checked.clear()
+    loocv(calc, LabeledCorpus(classes))  # warm: every size is cached, every element checked
+    assert len(checked) == 8 and calc.cache.hits == calc.cache.lookups / 2
+    checked.clear()
+    NcdCalculator(ZlibBackend(), mode="varint").g_profiles(list(classes.values()))
+    assert checked == []
 
 
 # -- ncd_exact against the oracle ---------------------------------------
