@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .classify import (
     ClassificationReport,
-    LabeledCorpus,
     TestItem,
     classify_items,
     delta_ncd1,
@@ -79,7 +78,6 @@ __all__ = [
     "GProfile",
     "GrayImage",
     "HeuristicResult",
-    "LabeledCorpus",
     "Margin",
     "Multiset",
     "NcdCalculator",

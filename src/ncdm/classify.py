@@ -38,19 +38,6 @@ class TestItem:
     label: str | None = None
 
 
-@dataclass
-class LabeledCorpus:
-    """Training multisets keyed by class label, plus optional held-out items."""
-
-    classes: dict[str, Multiset]
-    test_items: tuple[TestItem, ...] = ()
-
-    def __post_init__(self) -> None:
-        for label, ms in self.classes.items():
-            if len(ms) == 0:
-                raise CorpusError(f"class {label!r} is empty")
-
-
 @dataclass(frozen=True)
 class ItemResult:
     id: str
@@ -187,18 +174,18 @@ def classify_items(
 
 def loocv(
     calc: NcdCalculator,
-    corpus: LabeledCorpus,
+    classes: Mapping[str, Multiset],
     method: str = "delta-ncd1",
 ) -> ClassificationReport:
-    """Leave-one-out cross-validation over every training element.
+    """Leave-one-out cross-validation over every member of ``classes``, which
+    ``load_corpus`` returns: at least 2 classes, each of at least 3 members.
 
     Each element is held out in turn and its own occurrence is removed from
     its class before any scoring, so no method ever sees the held-out element
     on the training side. Every fold is one case of a single
     ``classify_items`` batch, so the whole LOOCV compresses in one map;
-    results assemble in corpus order, and ``ci`` is ``wilson_ci(accuracy, n)``.
+    results assemble in class-name order, and ``ci`` is ``wilson_ci(accuracy, n)``.
     """
-    classes = corpus.classes
     if len(classes) < 2:
         raise CorpusError(f"LOOCV needs >= 2 classes, got {len(classes)}")
     for label, ms in classes.items():

@@ -2,13 +2,15 @@
 
 Every subcommand prints one JSON report to stdout and a one-line human
 summary to stderr. Exit codes: 0 on success; 1 on degenerate input, an input
-file that cannot be read, parsed or converted, or a stdout closed before the
-whole report is written (``error: ...``); 2 on a usage error (``usage error:
-...``). An input file's error starts with its path, ``error: PATH: ...``,
-and so does ``image2bits``'s refusal of an image whose bitstream, H * W *
-scale**2 bytes, is above ``ingest.MAX_BITSTREAM_BYTES`` (2**28). ``--jobs``
-bounds the worker pool and can only change wall time, so it is not echoed
-into reports.
+file that cannot be read, parsed or converted, an input directory that cannot
+be listed, or a stdout closed before the whole report is written (``error:
+...``); 2 on a usage error (``usage error: ...``). Such an input's error
+starts with its path, ``error: PATH: ...``, and so does ``image2bits``'s
+refusal of an image whose bitstream, H * W * scale**2 bytes, is above
+``ingest.MAX_BITSTREAM_BYTES`` (2**28). A directory holds its regular files,
+symlinks followed, and ``quantize DIR`` takes those with suffix ``.csv``.
+``--jobs`` bounds the worker pool and can only change wall time, so it is not
+echoed into reports.
 
 Every report is ``"command"``, then ``"config"``, then the payload, and
 ``main`` alone frames it. ``config`` is the one place each setting is echoed:
@@ -72,11 +74,13 @@ from .ingest import (
     QuantizerConfig,
     fit_quantizer,
     image_to_bitstream,
+    list_dir,
     load_corpus,
     quantize_timeseries,
     read_element,
     read_idx_images,
     read_pgm,
+    read_test_items,
     read_timeseries_csv,
     reading,
 )
@@ -171,10 +175,9 @@ def _writing(flag: str, path: str | Path):
 def _gather_elements(inputs: list[str]) -> list[Element]:
     """A single directory (one element per file) or two-plus explicit files."""
     if len(inputs) == 1 and Path(inputs[0]).is_dir():
-        root = Path(inputs[0])
-        files = sorted(p for p in root.iterdir() if p.is_file())
+        files = list_dir(inputs[0])
         if len(files) < 2:
-            raise UsageError(f"directory {root} holds {len(files)} files; need >= 2")
+            raise UsageError(f"directory {Path(inputs[0])} holds {len(files)} files; need >= 2")
         return [read_element(p, p.name) for p in files]
     if len(inputs) < 2 or not all(map(os.path.isfile, inputs)):
         raise UsageError("pass a directory or at least two files")
@@ -287,12 +290,13 @@ def _cmd_matrix(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
 
 
 def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
-    corpus = load_corpus(args.classes, args.test)
-    items = [*corpus.test_items, *(TestItem(read_element(path)) for path in args.items)]
+    classes = load_corpus(args.classes)
+    tests = read_test_items(args.test) if args.test else []
+    items = [*tests, *(TestItem(read_element(path)) for path in args.items)]
     if not items:
         raise UsageError("no items to classify; pass files or --test")
-    results = classify_items(calc, [(item, corpus.classes) for item in items], args.method)
-    echo = {"method": args.method, "classes": sorted(corpus.classes)}
+    results = classify_items(calc, [(item, classes) for item in items], args.method)
+    echo = {"method": args.method, "classes": sorted(classes)}
     payload = {"items": [result.to_dict() for result in results]}
     summary = f"classified {len(results)} items with {args.method}"
     labeled = [result for result in results if result.true_label is not None]
@@ -303,14 +307,13 @@ def _cmd_classify(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
 
 
 def _cmd_loocv(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
-    corpus = load_corpus(args.classes)
-    result = loocv(calc, corpus, method=args.method)
+    result = loocv(calc, load_corpus(args.classes), method=args.method)
     return {"method": args.method}, result.to_dict(), result.summary()
 
 
 def _cmd_partition(args, calc: NcdCalculator) -> tuple[dict, dict, str]:
     cfg = PartitionConfig(*(getattr(args, f.name) for f in dataclasses.fields(PartitionConfig)))
-    classes = load_corpus(args.classes).classes
+    classes = load_corpus(args.classes)
     element = read_element(args.item) if args.item else None  # read before any work
     tree = recursive_partition(calc, classes, cfg, stop_margin=args.stop_margin)
     payload = tree.to_dict()
@@ -360,7 +363,7 @@ def _cmd_quantize(args) -> tuple[dict, dict, str]:
     paths: list[Path] = []
     for raw in args.inputs:
         p = Path(raw)
-        paths.extend(sorted(f for f in p.iterdir() if f.suffix == ".csv") if p.is_dir() else [p])
+        paths.extend([f for f in list_dir(p) if f.suffix == ".csv"] if p.is_dir() else [p])
     if not paths:
         raise UsageError("no CSV inputs found")
     targets = _targets(args.out, [(str(p), p.name) for p in paths], ".sym")

@@ -13,6 +13,7 @@ value under ``reading``, so a value that breaks its type's rule names its file.
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .classify import LabeledCorpus, TestItem
+from .classify import TestItem
 from .errors import CorpusError
 from .multiset import Element, Multiset
 
@@ -366,45 +367,46 @@ def read_idx_images(path: str | Path, limit: int | None = None) -> list[GrayImag
         return [GrayImage(pixels=raw[i], name=f"{path.stem}-{i:05d}") for i in range(count)]
 
 
-def load_corpus(classes_dir: str | Path, test_path: str | Path | None = None) -> LabeledCorpus:
-    """Directory-per-class corpus; element ids are relative paths.
+def list_dir(path: str | Path, dirs: bool = False) -> list[Path]:
+    """The regular files of directory ``path``, or with ``dirs`` its subdirectories,
+    sorted by name, symlinks followed; a directory that cannot be listed is a
+    ``CorpusError`` naming it. Every directory the package reads is listed here."""
+    path = Path(path)
+    with reading(path), os.scandir(path) as entries:
+        return sorted(path / e.name for e in entries if (e.is_dir() if dirs else e.is_file()))
 
-    ``test_path`` may be a directory of loose files (labels unknown) or a
-    JSON manifest: a list of {"path": ..., "label": optional} entries with
-    paths relative to the manifest's directory; a label is a string, or null
-    for none.
-    """
+
+def load_corpus(classes_dir: str | Path) -> dict[str, Multiset]:
+    """A directory-per-class corpus, one multiset per class in name order, with
+    element ids ``CLASS/FILE``; an empty class is refused as soon as it is listed."""
     root = Path(classes_dir)
-    if not root.is_dir():
-        raise CorpusError(f"corpus directory not found: {root}")
-    labels = sorted(p.name for p in root.iterdir() if p.is_dir())
+    labels = [d.name for d in list_dir(root, dirs=True)]
     if not labels:
         raise CorpusError(f"no class subdirectories under {root}")
     classes: dict[str, Multiset] = {}
     for label in labels:
-        files = sorted(p for p in (root / label).iterdir() if p.is_file())
+        if not (files := list_dir(root / label)):
+            raise CorpusError(f"class {label!r} is empty")
         classes[label] = Multiset([read_element(p, f"{label}/{p.name}") for p in files])
+    return classes
 
-    test_items: list[TestItem] = []
-    if test_path is not None:
-        test_path = Path(test_path)
-        if test_path.is_dir():
-            files = sorted(f for f in test_path.iterdir() if f.is_file())
-            test_items = [TestItem(read_element(p, p.name)) for p in files]
-        elif test_path.is_file():
-            with reading(test_path):
-                entries = json.loads(test_path.read_text())
-                if not isinstance(entries, list):
-                    raise ValueError("test manifest must hold a list of entries")
-                for entry in entries:
-                    if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
-                        raise ValueError(f"test manifest entry {entry!r} has no path")
-                    if not isinstance(entry.get("label"), (str, type(None))):
-                        raise ValueError(f"test manifest entry {entry!r} has a non-string label")
-            test_items = [
-                TestItem(read_element(test_path.parent / e["path"], e["path"]), e.get("label"))
-                for e in entries
-            ]
-        else:
-            raise CorpusError(f"test path not found: {test_path}")
-    return LabeledCorpus(classes=classes, test_items=tuple(test_items))
+
+def read_test_items(path: str | Path) -> list[TestItem]:
+    """Items to classify: a directory of loose files (ids are file names, labels
+    unknown), or a JSON manifest of {"path": ..., "label": optional} entries,
+    paths relative to the manifest's directory and a label a string or null."""
+    path = Path(path)
+    if path.is_dir():
+        return [TestItem(read_element(p, p.name)) for p in list_dir(path)]
+    with reading(path):
+        entries = json.loads(path.read_text())
+        if not isinstance(entries, list):
+            raise ValueError("test manifest must hold a list of entries")
+        for entry in entries:
+            if not isinstance(entry, dict) or not isinstance(entry.get("path"), str):
+                raise ValueError(f"test manifest entry {entry!r} has no path")
+            if not isinstance(entry.get("label"), (str, type(None))):
+                raise ValueError(f"test manifest entry {entry!r} has a non-string label")
+    return [
+        TestItem(read_element(path.parent / e["path"], e["path"]), e.get("label")) for e in entries
+    ]

@@ -31,7 +31,8 @@ def parallel_map(
     is left, so a map holds one task per worker, not one future per item,
     and a batch of thousands of requests costs no more memory than a small
     one. After an item raises, no further item is started, and the error of
-    the earliest failing item is raised, as a serial loop would. ``fn`` must
+    the earliest failing item is raised, as a serial loop would. If the
+    system refuses a worker thread, the caller works in its place. ``fn`` must
     never call ``parallel_map`` on the same pool: the pool deadlocks once
     every worker waits on a task queued behind it.
     """
@@ -40,24 +41,33 @@ def parallel_map(
         return [fn(item) for item in seq]
     results: list = [None] * len(seq)
     failures: dict[int, BaseException] = {}
-    lock = threading.Lock()
-    indices = iter(range(len(seq)))
+    lock = threading.Condition()
+    taken = busy = 0  # items handed out; work() calls that may still run one
 
     def work() -> None:
+        nonlocal taken, busy
+        with lock:
+            busy += 1
         while True:
             with lock:
-                i = None if failures else next(indices, None)
-            if i is None:
-                return
+                if failures or taken == len(seq):
+                    busy -= 1
+                    lock.notify_all()
+                    return
+                i, taken = taken, taken + 1
             try:
                 results[i] = fn(seq[i])
             except BaseException as exc:  # re-raised below, in the caller's thread
                 with lock:
                     failures[i] = exc
 
-    workers = [pool.submit(work) for _ in range(min(pool._max_workers, len(seq)))]
-    for worker in workers:
-        worker.result()
+    try:
+        for _ in range(min(pool._max_workers, len(seq))):
+            pool.submit(work)
+    except RuntimeError:  # the system refused a thread; the caller works in its place
+        work()
+    with lock:
+        lock.wait_for(lambda: busy == 0 and (failures or taken == len(seq)))
     if failures:
         raise failures[min(failures)]
     return results

@@ -12,6 +12,8 @@ import zlib
 
 import pytest
 
+import ncdm.compressor
+import ncdm.ncd
 from ncdm import Bz2Backend, Element, NcdCalculator, ZlibBackend
 
 ALPHABET_A = "abcdefghijklm"
@@ -129,3 +131,31 @@ def bz2_calc() -> NcdCalculator:
 @pytest.fixture
 def zlib_calc() -> NcdCalculator:
     return NcdCalculator(ZlibBackend(), jobs=1)
+
+
+@pytest.fixture
+def compressions(monkeypatch) -> list[int]:
+    """The byte length of every ``compress_len`` call from here on, one entry per call."""
+    sizes: list[int] = []
+    real = ncdm.compressor.compress_len
+
+    def counting(backend, data):
+        sizes.append(len(data))  # list.append is atomic, so worker threads may call it
+        return real(backend, data)
+
+    monkeypatch.setattr(ncdm.compressor, "compress_len", counting)
+    return sizes
+
+
+@pytest.fixture
+def maps(monkeypatch) -> list:
+    """The pool of every ``parallel_map`` a calculator makes from here on (None: inline)."""
+    pools: list = []
+    real = ncdm.ncd.parallel_map
+
+    def counting(fn, items, pool):
+        pools.append(pool)
+        return real(fn, items, pool)
+
+    monkeypatch.setattr(ncdm.ncd, "parallel_map", counting)
+    return pools

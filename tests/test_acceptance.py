@@ -18,7 +18,6 @@ from ncdm import (
     Bz2Backend,
     CellModelParams,
     Element,
-    LabeledCorpus,
     Multiset,
     NcdCalculator,
     PartitionConfig,
@@ -185,12 +184,10 @@ def test_criterion_5_synthetic_classification():
         for label, tracks in populations.items()
     }
     quantizer = fit_quantizer(series["fast"] + series["slow"], N_SYMBOLS_SYNTHETIC)
-    corpus = LabeledCorpus(
-        classes={
-            label: Multiset([quantize_timeseries(ts, quantizer=quantizer) for ts in items])
-            for label, items in series.items()
-        }
-    )
+    corpus = {
+        label: Multiset([quantize_timeseries(ts, quantizer=quantizer) for ts in items])
+        for label, items in series.items()
+    }
     calc = NcdCalculator(Bz2Backend(), jobs=8)
     pairwise = loocv(calc, corpus, method="min-distance")
     delta = loocv(calc, corpus, method="delta-ncd1")

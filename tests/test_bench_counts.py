@@ -1,10 +1,13 @@
 """Hardware-free gates: the benchmark's compression counts, pinned.
 
-The inputs are the benchmark's own ``loocv-cold`` and ``matrix-cli`` corpora
-at full scale and seed 0, built by ``bench/workloads.py``, which is imported
-and not changed. A counting backend stands in for bz2 and zlib: it records
-each request and answers with a made-up size, so a whole plan runs in well
-under a second and every count depends only on the inputs and the code.
+The inputs are the benchmark's own ``loocv-cold``, ``matrix-cli`` and
+``klists-zlib`` corpora at full scale and seed 0, built by
+``bench/workloads.py``, which is imported and not changed. For the first two
+a counting backend stands in for bz2 and zlib: it records each request and
+answers with a made-up size, so a whole plan runs in well under a second and
+every count depends only on the inputs and the code. A K-Lists split plans
+round by round from the sizes it gets back, so it runs on real zlib (about
+0.3 s) and its compressions are counted around ``compressor.compress_len``.
 
 A count that rises is a regression. A count that falls fails too, until the
 change that lowers it restates it here, so every gain is stated.
@@ -16,7 +19,9 @@ import sys
 import threading
 from pathlib import Path
 
-from ncdm import CompressorBackend, Element, NcdCalculator
+from ncdm import (
+    CompressorBackend, Element, Multiset, NcdCalculator, PartitionConfig, ZlibBackend, klists_split
+)
 from ncdm.classify import loocv
 from ncdm.ingest import load_corpus
 
@@ -61,7 +66,14 @@ def test_loocv_cold_counts(tmp_path):
     assert (backend.calls, calc.cache.lookups, calc.cache.hits) == (850, 1700, 850)
 
 
-def test_matrix_cli_counts(tmp_path):
+def test_loocv_cold_is_one_map(tmp_path, maps):
+    workload = workloads.LoocvCold(SEED, tmp_path, workloads.FULL)
+    workload.build()
+    loocv(NcdCalculator(CountingBackend(), jobs=workloads.JOBS), load_corpus(workload.corpus_dir))
+    assert len(maps) == 1
+
+
+def test_matrix_cli_counts(tmp_path, maps):
     workload = workloads.MatrixCli(SEED, tmp_path, workloads.FULL)
     workload.build()
     elements = [Element(data, name) for name, data in sorted(workload.bits.items())]
@@ -70,3 +82,20 @@ def test_matrix_cli_counts(tmp_path):
     calc.distance_matrix(elements)
     # 200 singles and 200 * 199 / 2 pairs of distinct glyphs
     assert (backend.calls, backend.bytes, calc.cache.lookups) == (20_100, 501_779_900, 20_100)
+    assert len(maps) == 2  # the singles, then every row's pairs
+
+
+def test_klists_zlib_counts(tmp_path, compressions, maps):
+    workload = workloads.KlistsZlib(SEED, tmp_path, workloads.FULL)
+    workload.build()
+    calc = NcdCalculator(ZlibBackend(), jobs=workloads.JOBS)
+    cfg = PartitionConfig(
+        restarts=workload.RESTARTS, min_size=workload.scale.klists_min_size, seed=workload.RESTART_SEED
+    )
+    result = klists_split(calc, Multiset(workload.elements), cfg)
+    assert (len(compressions), sum(compressions)) == (1123, 16_985_821)
+    assert (calc.cache.lookups, calc.cache.hits) == (4874, 3751)
+    assert [restart.iterations for restart in result.restarts] == [1] * workload.RESTARTS
+    # ncd1 of the whole set, per restart a seed map and one per iteration, then the margin
+    assert len(maps) == 12
+    assert workload.check(workload.collect(result)) == []  # the benchmark's own split

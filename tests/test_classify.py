@@ -5,13 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ncdm.classify
-import ncdm.ncd
 from ncdm import (
     Bz2Backend,
     CorpusError,
     DegenerateInputError,
     Element,
-    LabeledCorpus,
     Multiset,
     NcdCalculator,
     TestItem as Item,
@@ -35,15 +33,13 @@ from .conftest import (
 
 
 @pytest.fixture(scope="module")
-def two_generator_corpus() -> LabeledCorpus:
+def two_generator_corpus() -> dict[str, Multiset]:
     vocab_a = make_vocab(1, ALPHABET_A)
     vocab_b = make_vocab(2, ALPHABET_B)
-    return LabeledCorpus(
-        classes={
-            "alpha": Multiset(fragment_elements(11, vocab_a, 8, prefix="a")),
-            "beta": Multiset(fragment_elements(12, vocab_b, 8, prefix="b")),
-        }
-    )
+    return {
+        "alpha": Multiset(fragment_elements(11, vocab_a, 8, prefix="a")),
+        "beta": Multiset(fragment_elements(12, vocab_b, 8, prefix="b")),
+    }
 
 
 @pytest.fixture(scope="module")
@@ -139,14 +135,14 @@ def test_delta_requires_two_members(calc):
 def test_classify_by_delta_recovers_generator(calc, two_generator_corpus):
     vocab_a = make_vocab(1, ALPHABET_A)
     x = Element(text_fragment(random.Random(99), vocab_a), id="query")
-    assert predict(calc, x, two_generator_corpus.classes) == "alpha"
+    assert predict(calc, x, two_generator_corpus) == "alpha"
 
 
 def test_classify_training_duplicate_goes_home(calc, two_generator_corpus):
-    member = two_generator_corpus.classes["beta"][0]
+    member = two_generator_corpus["beta"][0]
     x = Element(member.data, id="dup")
-    assert predict(calc, x, two_generator_corpus.classes) == "beta"
-    assert predict(calc, x, two_generator_corpus.classes, "min-distance") == "beta"
+    assert predict(calc, x, two_generator_corpus) == "beta"
+    assert predict(calc, x, two_generator_corpus, "min-distance") == "beta"
 
 
 def test_classify_tie_breaks_lexicographically(calc):
@@ -163,7 +159,7 @@ def test_classify_tie_breaks_lexicographically(calc):
 def test_min_distance_recovers_generator(calc, two_generator_corpus):
     vocab_b = make_vocab(2, ALPHABET_B)
     x = Element(text_fragment(random.Random(98), vocab_b), id="query")
-    assert predict(calc, x, two_generator_corpus.classes, "min-distance") == "beta"
+    assert predict(calc, x, two_generator_corpus, "min-distance") == "beta"
 
 
 def test_empty_class_map_rejected(calc):
@@ -179,7 +175,7 @@ def test_empty_class_rejected_by_every_method(calc, method):
 
 
 def test_classify_items_rejects_an_unknown_method(calc, two_generator_corpus):
-    case = (Item(random_text_element(1, 64, "x")), two_generator_corpus.classes)
+    case = (Item(random_text_element(1, 64, "x")), two_generator_corpus)
     with pytest.raises(ValueError, match="unknown method 'centroid'"):
         classify_items(calc, [case], "centroid")
 
@@ -191,12 +187,10 @@ def test_loocv_perfect_on_seed_repeats(calc):
     # every element repeats its class seed: folds are trivially separable
     seed_a = random_text_element(30, 2048, "seedA")
     seed_b = random_text_element(31, 2048, "seedB")
-    corpus = LabeledCorpus(
-        classes={
-            "a": Multiset([Element(seed_a.data, f"a{i}") for i in range(4)]),
-            "b": Multiset([Element(seed_b.data, f"b{i}") for i in range(4)]),
-        }
-    )
+    corpus = {
+        "a": Multiset([Element(seed_a.data, f"a{i}") for i in range(4)]),
+        "b": Multiset([Element(seed_b.data, f"b{i}") for i in range(4)]),
+    }
     for method in ("delta-ncd1", "min-distance"):
         report = loocv(calc, corpus, method=method)
         assert report.accuracy == 1.0
@@ -226,7 +220,7 @@ def test_loocv_never_scores_against_own_occurrence(calc, two_generator_corpus):
         ),
         "b": Multiset(fragment_elements(42, make_vocab(6, ALPHABET_B), 3, prefix="b")),
     }
-    report = loocv(calc, LabeledCorpus(classes=classes), method="delta-ncd1")
+    report = loocv(calc, classes, method="delta-ncd1")
     twin_items = [i for i in report.items if i.id.startswith("twin")]
     assert len(twin_items) == 2
     for item in twin_items:
@@ -234,20 +228,16 @@ def test_loocv_never_scores_against_own_occurrence(calc, two_generator_corpus):
 
 
 def test_loocv_requires_three_members(calc):
-    corpus = LabeledCorpus(
-        classes={
-            "a": Multiset([random_text_element(50 + i, 256, f"a{i}") for i in range(2)]),
-            "b": Multiset([random_text_element(60 + i, 256, f"b{i}") for i in range(3)]),
-        }
-    )
+    corpus = {
+        "a": Multiset([random_text_element(50 + i, 256, f"a{i}") for i in range(2)]),
+        "b": Multiset([random_text_element(60 + i, 256, f"b{i}") for i in range(3)]),
+    }
     with pytest.raises(CorpusError, match="needs >= 3"):
         loocv(NcdCalculator(Bz2Backend(), jobs=1), corpus)
 
 
 def test_loocv_requires_two_classes(calc):
-    corpus = LabeledCorpus(
-        classes={"only": Multiset([random_text_element(70 + i, 256, f"o{i}") for i in range(3)])}
-    )
+    corpus = {"only": Multiset([random_text_element(70 + i, 256, f"o{i}") for i in range(3)])}
     with pytest.raises(CorpusError, match=">= 2 classes"):
         loocv(calc, corpus)
 
@@ -300,10 +290,10 @@ def reference_loocv_items(calc, classes, method):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("method", ["delta-ncd1", "min-distance"])
 def test_loocv_equals_a_fold_by_fold_loop(two_generator_corpus, method, jobs):
-    classes = dict(two_generator_corpus.classes)
+    classes = dict(two_generator_corpus)
     # a copy of one member under another id, so folds share requests by key
     classes["alpha"] = classes["alpha"].add(Element(classes["alpha"][0].data, "copy"))
-    report = loocv(NcdCalculator(ZlibBackend(), jobs=jobs), LabeledCorpus(classes=classes), method)
+    report = loocv(NcdCalculator(ZlibBackend(), jobs=jobs), classes, method)
     expected = reference_loocv_items(NcdCalculator(ZlibBackend(), jobs=1), classes, method)
     got = [(i.id, i.true_label, i.predicted, i.scores) for i in report.items]
     assert got == expected
@@ -320,7 +310,7 @@ def test_loocv_folds_hold_out_exactly_the_item(monkeypatch, calc, two_generator_
         return real(calc, cases, method)
 
     monkeypatch.setattr(ncdm.classify, "classify_items", recording)
-    classes = two_generator_corpus.classes
+    classes = two_generator_corpus
     loocv(calc, two_generator_corpus)
     assert len(batches) == 1
     folds = batches[0]
@@ -336,14 +326,6 @@ def test_loocv_folds_hold_out_exactly_the_item(monkeypatch, calc, two_generator_
             assert len(ms) == len(classes[label]) - short
 
 
-def test_delta_loocv_is_one_map(monkeypatch, two_generator_corpus):
-    maps = []
-    real = ncdm.ncd.parallel_map
-
-    def counting(fn, items, pool):
-        maps.append(pool)
-        return real(fn, items, pool)
-
-    monkeypatch.setattr(ncdm.ncd, "parallel_map", counting)
+def test_delta_loocv_is_one_map(maps, two_generator_corpus):
     loocv(NcdCalculator(ZlibBackend(), jobs=2), two_generator_corpus, method="delta-ncd1")
     assert len(maps) == 1 and maps[0] is not None

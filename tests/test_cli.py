@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -14,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import ncdm.compressor
 import ncdm.datagen
 from ncdm import (
     Element,
@@ -348,7 +348,7 @@ def test_partition_compression_jobs_counts_the_whole_run(tmp_path, capsys, jobs)
     code, cold, _ = run(capsys, *argv, *cache)
     assert code == 0
     calc = NcdCalculator(get_backend("zlib"), jobs=jobs)
-    tree = recursive_partition(calc, load_corpus(root).classes, PartitionConfig(min_size=2))
+    tree = recursive_partition(calc, load_corpus(root), PartitionConfig(min_size=2))
     min_class_distances(calc, Element(item.read_bytes(), id=str(item)), tree, k=2)
     assert cold["compression_jobs"] == calc.cache.job_count > 0  # --item scoring included
     code, warm, _ = run(capsys, *argv, *cache)
@@ -422,6 +422,7 @@ def test_quantize_and_config_round_trip(tmp_path, capsys):
         rows = rng.normal(size=(40, 2))
         lines = ["f0,f1"] + [f"{a:.6f},{b:.6f}" for a, b in rows]
         (csv_dir / f"s{i}.csv").write_text("\n".join(lines) + "\n")
+    (csv_dir / "sub.csv").mkdir()  # not a series: a directory input is its regular files
     out = tmp_path / "symbols"
     cfg_path = tmp_path / "quant.json"
     code, report, _ = run(
@@ -590,18 +591,6 @@ def test_a_cache_name_of_legal_length_is_saved_and_loaded(tmp_path, capsys):
 # -- bad flag values and malformed data files ----------------------------------
 
 
-def _count_compressions(monkeypatch) -> list[int]:
-    calls = []
-    real = ncdm.compressor.compress_len
-
-    def counting(backend, data):
-        calls.append(len(data))
-        return real(backend, data)
-
-    monkeypatch.setattr(ncdm.compressor, "compress_len", counting)
-    return calls
-
-
 @pytest.mark.parametrize(
     "flags",
     [
@@ -631,16 +620,15 @@ def _count_compressions(monkeypatch) -> list[int]:
         "seed-negative",
     ],
 )
-def test_partition_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, flags):
+def test_partition_bad_flag_is_a_usage_error_before_any_work(tmp_path, capsys, compressions, flags):
     root = write_class_dirs(tmp_path, per_class=4, n_words=40)
     item = tmp_path / "item.txt"
     item.write_bytes(b"an item to score " * 10)
-    calls = _count_compressions(monkeypatch)
     flags = [{"ITEM": str(item), "MISSING": str(tmp_path / "missing.txt")}.get(f, f) for f in flags]
     code, report, err = run(capsys, "partition", "--classes", str(root), "--backend", "zlib", *flags)
     assert code == 2 and report is None
     assert err.startswith("usage error:")
-    assert calls == []
+    assert compressions == []
     assert flags[0] in err and "Traceback" not in err
 
 
@@ -873,17 +861,16 @@ def test_a_mutated_input_file_exits_0_1_or_2_with_one_line(kind, mutations):
     "flags", [["--max-pairs", "-1"], ["--tolerance", "-1"]], ids=["max-pairs", "tolerance"]
 )
 def test_compressor_check_bad_flag_is_a_usage_error_before_any_work(
-    tmp_path, capsys, monkeypatch, flags
+    tmp_path, capsys, compressions, flags
 ):
     d = tmp_path / "corpus"
     d.mkdir()
     for i in range(3):
         (d / f"c{i}.txt").write_bytes(f"sample {i} ".encode() * 20)
-    calls = _count_compressions(monkeypatch)
     code, report, err = run(capsys, "compressor-check", str(d), "--backend", "zlib", *flags)
     assert code == 2 and report is None
     assert err.startswith("usage error:")
-    assert calls == []
+    assert compressions == []
     assert flags[0] in err and "Traceback" not in err
 
 
@@ -1093,18 +1080,17 @@ def test_quantize_two_inputs_that_write_one_file_are_refused(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["pair", "multiset", "matrix", "classify", "loocv", "partition"])
-def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monkeypatch, command):
+def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, compressions, command):
     root = write_class_dirs(tmp_path, per_class=4, n_words=40)
     item = tmp_path / "item.txt"
     item.write_bytes(b"an item to score " * 10)
     cache = tmp_path / "sizes.tsv"
     before = _tree(tmp_path)
-    calls = _count_compressions(monkeypatch)
     argv = [*_frame_argv(command, root, item), "--backend", "zlib", "--cache", str(cache)]
     code, report, err = run(capsys, *argv, "--jobs", "0")
     assert code == 2 and report is None
     assert err.startswith("usage error: --jobs must be >= 1, got 0") and "Traceback" not in err
-    assert calls == []
+    assert compressions == []
     assert _tree(tmp_path) == before
 
 
@@ -1137,18 +1123,17 @@ def test_jobs_below_one_is_a_usage_error_before_any_work(tmp_path, capsys, monke
         "unknown-flag",
     ],
 )
-def test_every_parse_error_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+def test_every_parse_error_is_a_usage_error(tmp_path, capsys, compressions, argv, flag):
     root = write_class_dirs(tmp_path, per_class=4, n_words=40)
     item = tmp_path / "item.txt"
     item.write_bytes(b"an item to score " * 10)
     places = {"ROOT": str(root), "ITEM": str(item), "MISSING": str(tmp_path / "missing")}
-    calls = _count_compressions(monkeypatch)
     code, report, err = run(capsys, *[places.get(a, a) for a in argv])  # returns, no SystemExit
     assert code == 2 and report is None
     assert err.startswith("usage error: ") and flag in err and "Traceback" not in err
     if flag == "--max-card":
         assert err.startswith("usage error: --max-card ")
-    assert calls == []
+    assert compressions == []
 
 
 # -- output paths ----------------------------------------------------------------
@@ -1176,7 +1161,7 @@ def _tree(root):
         ("gen-synthetic", "--out", "name-too-long"),
     ],
 )
-def test_bad_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, flag, target):
+def test_bad_output_path_is_refused_before_any_work(tmp_path, capsys, compressions, command, flag, target):
     (tmp_path / "a.txt").write_bytes(b"some shared words here " * 30)
     (tmp_path / "b.txt").write_bytes(b"other words, not shared " * 30)
     (tmp_path / "s.csv").write_text("f0,f1\n0.5,1.5\n2.5,3.5\n")
@@ -1197,11 +1182,10 @@ def test_bad_output_path_is_refused_before_any_work(tmp_path, capsys, monkeypatc
         "gen-synthetic": ["gen-synthetic", "--upsilon", "3", "--cells", "2"],
     }[command]
     before = _tree(tmp_path)
-    calls = _count_compressions(monkeypatch)
     code, report, err = run(capsys, *argv, flag, str(path))
     assert code == 2 and report is None
     assert err.startswith(f"usage error: {flag} {path} ") and "Traceback" not in err
-    assert calls == []
+    assert compressions == []
     assert _tree(tmp_path) == before  # nothing written, nothing left behind
 
 
@@ -1254,7 +1238,7 @@ UNREADABLE = Path("/proc/self/mem")  # a regular file whose read fails with EIO,
         "image2bits-idx",
     ],
 )
-def test_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, monkeypatch, argv, blamed):
+def test_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, compressions, argv, blamed):
     root = write_class_dirs(tmp_path, per_class=3, n_words=30)
     bad_root = tmp_path / "badclasses"
     shutil.copytree(root, bad_root)
@@ -1275,11 +1259,64 @@ def test_unreadable_input_file_is_an_error_naming_it(tmp_path, capsys, monkeypat
         "csv": tmp_path / "s.csv",
         "out": tmp_path / "out",
     }
-    calls = _count_compressions(monkeypatch)
     code, report, err = run(capsys, *[a.format(**places) for a in argv])
     assert code == 1 and report is None
     assert err.startswith(f"error: {blamed.format(**places)}: ") and "Traceback" not in err
-    assert calls == []  # every input is read before any work
+    assert compressions == []  # every input is read before any work
+    assert not (tmp_path / "out").exists()
+
+
+UNLISTABLE = Path("/proc/1/map_files")  # a directory that only CAP_SYS_ADMIN may list
+
+
+def _can_list(path: Path) -> bool:
+    try:
+        os.listdir(path)
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(
+    not UNLISTABLE.is_dir() or _can_list(UNLISTABLE), reason="needs a directory that cannot be listed"
+)
+@pytest.mark.parametrize(
+    "argv, blamed",
+    [
+        (["matrix", "{bad}"], "{bad}"),
+        (["multiset", "{bad}"], "{bad}"),
+        (["compressor-check", "{bad}"], "{bad}"),
+        (["loocv", "--classes", "{bad}"], "{bad}"),
+        (["loocv", "--classes", "{badroot}"], "{badroot}/alpha"),
+        (["partition", "--classes", "{bad}"], "{bad}"),
+        (["classify", "--classes", "{root}", "--test", "{bad}"], "{bad}"),
+        (["quantize", "{bad}", "--out", "{out}"], "{bad}"),
+    ],
+    ids=[
+        "matrix",
+        "multiset",
+        "compressor-check",
+        "loocv-root",
+        "loocv-class-dir",
+        "partition-root",
+        "classify-test-dir",
+        "quantize",
+    ],
+)
+def test_unlistable_input_directory_is_an_error_naming_it(
+    tmp_path, capsys, compressions, argv, blamed
+):
+    root = write_class_dirs(tmp_path, per_class=3, n_words=30)
+    bad_root = tmp_path / "badclasses"
+    shutil.copytree(root, bad_root)
+    shutil.rmtree(bad_root / "alpha")
+    (bad_root / "alpha").symlink_to(UNLISTABLE)  # a class directory, through a symlink
+    (tmp_path / "bad").symlink_to(UNLISTABLE)
+    places = {"bad": tmp_path / "bad", "root": root, "badroot": bad_root, "out": tmp_path / "out"}
+    code, report, err = run(capsys, *[a.format(**places) for a in argv])
+    assert code == 1 and report is None
+    assert err == f"error: {blamed.format(**places)}: {os.strerror(errno.EACCES)}\n"
+    assert compressions == []
     assert not (tmp_path / "out").exists()
 
 

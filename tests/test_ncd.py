@@ -22,7 +22,7 @@ from ncdm import (
 )
 import ncdm.ncd
 from ncdm import compressor
-from ncdm.classify import LabeledCorpus, loocv
+from ncdm.classify import loocv
 from ncdm.compressor import serialize_multiset
 from ncdm.ncd import DEFAULT_EPSILON
 
@@ -231,10 +231,10 @@ def test_a_plan_checks_each_distinct_element_for_the_separator_once(monkeypatch)
     }
     calc = NcdCalculator(ZlibBackend(), jobs=2)
     # One plan of 8 folds, each asking for many requests over the same 8 elements.
-    loocv(calc, LabeledCorpus(classes))
+    loocv(calc, classes)
     assert sorted(checked) == sorted(e.id for ms in classes.values() for e in ms)
     checked.clear()
-    loocv(calc, LabeledCorpus(classes))  # warm: every size is cached, every element checked
+    loocv(calc, classes)  # warm: every size is cached, every element checked
     assert len(checked) == 8 and calc.cache.hits == calc.cache.lookups / 2
     checked.clear()
     NcdCalculator(ZlibBackend(), mode="varint").g_profiles(list(classes.values()))

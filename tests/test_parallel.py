@@ -9,12 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ncdm.compressor
 import ncdm.parallel
 from ncdm import (
     Bz2Backend,
     Element,
-    LabeledCorpus,
     Multiset,
     NcdCalculator,
     ZlibBackend,
@@ -45,19 +43,11 @@ def test_one_pool_per_calculator(monkeypatch, jobs, pools):
     calc.g_profile(everything)
     calc.ncd_heuristic(everything)
     calc.distance_matrix(everything.elements)
-    loocv(calc, LabeledCorpus(classes=classes))
+    loocv(calc, classes)
     assert len(built) == pools
 
 
-def test_copies_under_other_ids_are_compressed_once(monkeypatch):
-    calls = []
-    compress_len = ncdm.compressor.compress_len
-
-    def counting(backend, data):
-        calls.append(len(data))
-        return compress_len(backend, data)
-
-    monkeypatch.setattr(ncdm.compressor, "compress_len", counting)
+def test_copies_under_other_ids_are_compressed_once(compressions):
     texts = [random_text_element(60 + i, 1500, f"t{i}").data for i in range(3)]
     ms = Multiset(Element(text, f"{copy}{i}") for i, text in enumerate(texts) for copy in "ab")
     jobs = 0
@@ -66,7 +56,7 @@ def test_copies_under_other_ids_are_compressed_once(monkeypatch):
         calc.g_profile(ms)
         calc.ncd_heuristic(ms)
         jobs += calc.cache.job_count
-    assert len(calls) == jobs
+    assert len(compressions) == jobs
 
 
 def test_cli_leaves_no_worker_threads(tmp_path, capsys):
@@ -156,3 +146,25 @@ def test_map_raises_the_earliest_failure_and_stops_starting_items():
         pool.shutdown()
     assert info.value.args == (40,)
     assert 300 not in started and len(started) < 100
+
+
+@pytest.mark.parametrize("started", [0, 1, 2])
+def test_a_refused_worker_thread_changes_no_answer(tmp_path, capsys, monkeypatch, started):
+    """A system that refuses threads makes ``--jobs`` run on fewer workers, or inline."""
+    for i in range(6):
+        (tmp_path / f"t{i}.txt").write_bytes(random_text_element(i, 300, "").data)
+    argv = ["matrix", str(tmp_path), "--backend", "zlib"]
+    assert main([*argv, "--jobs", "1"]) == 0
+    serial = capsys.readouterr()
+    real_start, starts = threading.Thread.start, []
+
+    def start(thread):
+        starts.append(thread)
+        if len(starts) > started:
+            raise RuntimeError("can't start new thread")
+        real_start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    assert main([*argv, "--jobs", "4"]) == 0
+    assert capsys.readouterr() == serial
+    assert len(starts) > started  # a thread was refused

@@ -3,8 +3,6 @@ import random
 
 import pytest
 
-import ncdm.compressor
-import ncdm.ncd
 import ncdm.partition
 from ncdm import (
     DegenerateInputError,
@@ -145,20 +143,7 @@ def test_klists_deterministic_under_seed_and_jobs(planted):
     assert r1.margin.value == r2.margin.value
 
 
-def test_klists_iteration_is_one_map(monkeypatch, planted):
-    maps, calls = [], []
-    real_map, real_compress = ncdm.ncd.parallel_map, ncdm.compressor.compress_len
-
-    def counting_map(fn, items, pool):
-        maps.append(pool)
-        return real_map(fn, items, pool)
-
-    def counting_compress(backend, data):
-        calls.append(len(data))
-        return real_compress(backend, data)
-
-    monkeypatch.setattr(ncdm.ncd, "parallel_map", counting_map)
-    monkeypatch.setattr(ncdm.compressor, "compress_len", counting_compress)
+def test_klists_iteration_is_one_map(maps, compressions, planted):
     a, b = planted
     calc = NcdCalculator(ZlibBackend(), jobs=2)
     result = klists_split(calc, Multiset(a + b), PartitionConfig(restarts=3, min_size=6, seed=5))
@@ -167,7 +152,7 @@ def test_klists_iteration_is_one_map(monkeypatch, planted):
     # starting margin); then one for the three ratios of the chosen margin
     iterations = sum(r.iterations for r in result.restarts)
     assert len(maps) == 1 + 3 + iterations + 1
-    assert len(calls) == calc.cache.job_count
+    assert len(compressions) == calc.cache.job_count
 
 
 def test_klists_rejects_undersized_input(calc):
